@@ -14,9 +14,15 @@ Round structure (round r, parity p = r mod 2):
            ECHO-only certificate); single other value -> adopt it; both values
            -> adopt p.  The estimate's certificate feeds the next round.
 
-Exclusions shrink h(d_r) live; every threshold below recounts distinct
-non-excluded signers straight from the shared message store, so a committee
-update plus a pump() re-evaluates the whole round under the new threshold.
+Thresholds count each vote once.  The core hands every message the store
+admits as new or upgraded to tally(), which sets the signer's bit in the
+current round's BVECHO value mask or phase-2 aux-set mask if the signer is
+active and the message admissible, so pump() tests h(d_r) = h0 - d_r by bit
+counts.  Exclusions shrink h(d_r) live: the tallies are recounted from the
+store when the round or the committee's exclusion count d_r changes (d_r
+only grows), so a committee update plus a pump() re-evaluates the round
+under the new threshold.  A quorum certificate is the first h counted
+signers in signer order, built once when the threshold is crossed.
 
 Timers latch: once a phase timer fires, the "expired" half of the exit
 condition stays satisfied; further fires only rebroadcast the stored message
@@ -27,13 +33,18 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .committee import Committee
+from .committee import Committee, mask_members
 from .crypto import (
     Kind,
     SignedMessage,
     pick_certificate,
     msgset_payload,
 )
+
+
+_TALLIED = frozenset({Kind.BVECHO, Kind.ECHO})
+# tally index of each phase-2 aux set; indexes 0 and 1 hold BVECHO support
+_AUX_INDEX = {frozenset({0}): 2, frozenset({1}): 3, frozenset({0, 1}): 4}
 
 
 def parity(r: int) -> int:
@@ -100,9 +111,10 @@ class BinaryInstance:
         self.decision_cert: tuple = ()
         self.decided_at: Optional[int] = None
         self._decision_relayed = False
-        self._msg_ok: dict[int, bool] = {}
-        self._cmt_version = -1
-        self.metric_rounds = 0
+        # the current round's tally (see _counts) and the d_r it was counted
+        # under; none until the first pump of a round, dropped at decision
+        self._tally: Optional[list[int]] = None
+        self._counted_d_r = 0
 
     # ------------------------------------------------------------------ util
 
@@ -112,16 +124,62 @@ class BinaryInstance:
             rs = self.rounds[r] = RoundState()
         return rs
 
-    def _active_count(self, msgs: dict[int, SignedMessage], want=None) -> list:
-        com = self.committee
-        out = []
-        for signer, m in msgs.items():
-            if not com.is_active(signer):
-                continue
-            if want is not None and m.payload != want:
-                continue
-            out.append(m)
-        return out
+    def _counts(self) -> list[int]:
+        """Signer bitmasks for the current round: BVECHO support of value 0
+        and 1, then phase-2 ECHO support per aux set (see _AUX_INDEX).
+        Recounted from the store after round entry or when d_r moved."""
+        d_r = self.committee.d_r
+        if self._tally is None or self._counted_d_r != d_r:
+            self._counted_d_r = d_r
+            self._tally = self._recount(self.round)
+        return self._tally
+
+    def _recount(self, r: int) -> list[int]:
+        tally = [0] * 5
+        group = self.core.store.group
+        for phase in (1, 2):
+            for m in group(Kind.BVECHO, self.iid, r, phase).values():
+                self._count(m, tally)
+        for m in group(Kind.ECHO, self.iid, r, 2).values():
+            self._count(m, tally)
+        return tally
+
+    def tally(self, m: SignedMessage) -> None:
+        """Count a message the store just admitted as new or upgraded (a
+        tally counted under an older d_r is recounted before it is read)."""
+        if m.kind in _TALLIED and self._tally is not None and m.round == self.round:
+            self._count(m, self._tally)
+
+    def _count(self, m: SignedMessage, tally: list[int]) -> None:
+        if m.kind == Kind.BVECHO:
+            # the wire phase is 1+v, so a slot only supports the value it names
+            if m.phase not in (1, 2) or m.payload != enc_bit(m.phase - 1):
+                return
+            v = m.phase - 1
+            if (
+                not tally[v] >> m.signer & 1
+                and self.committee.is_active(m.signer)
+                and self._bvecho_admissible(m)
+            ):
+                tally[v] |= 1 << m.signer
+        elif m.kind == Kind.ECHO and m.phase == 2:
+            s = dec_bits(m.payload)
+            if s is not None and self.committee.is_active(m.signer):
+                tally[_AUX_INDEX[s]] |= 1 << m.signer
+
+    def _support(self, r: int, v: int) -> int:
+        """Bitmask of the signers whose round-r BVECHO for v counts.  Round r
+        is the current round except in a pump a nested delivery moved past."""
+        if r != self.round:
+            return self._recount(r)[v]
+        return self._counts()[v]
+
+    def _quorum_cert(self, kind: int, r: int, phase: int, signers: int) -> tuple:
+        """The first h counted signers in signer order, attachments stripped."""
+        group = self.core.store.group(kind, self.iid, r, phase)
+        return tuple(
+            group[s].stripped() for s in mask_members(signers)[: self.committee.h]
+        )
 
     def _cert_valid(self, cert: tuple, kind: int, value: int, r: int, phase: int) -> bool:
         """A certificate is h(d_r) distinct active signers over one slot+value."""
@@ -154,14 +212,9 @@ class BinaryInstance:
             return False
         if m.round == 2 and v == 1:
             return True
-        cached = self._msg_ok.get(id(m))
-        if cached is not None:
-            return cached
-        ok = self._cert_valid(
+        return self._cert_valid(
             m.certificate, Kind.ECHO, v, m.round - 1, 2
         ) or self._cert_valid(m.certificate, Kind.BVECHO, v, m.round - 1, 1 + v)
-        self._msg_ok[id(m)] = ok
-        return ok
 
     def _emit(self, kind, round_, phase, payload, certificate=()):
         msg = self.core.sign(kind, self.iid, round_, phase, payload, certificate)
@@ -188,7 +241,7 @@ class BinaryInstance:
     def _enter_round(self, r: int) -> None:
         self.round = r
         self.phase = 1
-        self.metric_rounds = max(self.metric_rounds, r)
+        self._tally = None
         rs = self._rs(r)
         if self.est not in rs.sent_bvecho:
             rs.sent_bvecho.add(self.est)
@@ -210,16 +263,17 @@ class BinaryInstance:
         self.pump()
 
     def _on_decision(self, m: SignedMessage) -> None:
+        if self.decided is not None:
+            return  # its certificate could change nothing
         v = m.payload[0] if len(m.payload) == 1 else -1
         if v not in (0, 1) or v != parity(m.round):
             return
         if not self._cert_valid(m.certificate, Kind.ECHO, v, m.round, 2):
             return
-        if self.decided is None:
-            self._settle(v, m.round, m.certificate)
-            if not self._decision_relayed:
-                self._decision_relayed = True
-                self.core.emit(m, self.committee)
+        self._settle(v, m.round, m.certificate)
+        if not self._decision_relayed:
+            self._decision_relayed = True
+            self.core.emit(m, self.committee)
 
     def _on_bvready(self, m: SignedMessage) -> None:
         # past rounds are settled; future-round deliveries are fine to record
@@ -257,46 +311,31 @@ class BinaryInstance:
         """Re-evaluate every monotone trigger for the current round."""
         if self.decided is not None or not self.started:
             return
-        if self._cmt_version != self.core.committee_version:
-            # exclusions may turn previously insufficient certificates valid
-            self._cmt_version = self.core.committee_version
-            self._msg_ok = {k: v for k, v in self._msg_ok.items() if v}
         r = self.round
         rs = self._rs(r)
         com = self.committee
-        store = self.core.store
 
         # second echo + delivery per value
         second_need = max(
             1,
             (com.n0 - self.cfg.profile.q - self.cfg.profile.t) // 2 - com.d_r,
         )
+        pid = self.core.pid
         for v in (0, 1):
-            want = enc_bit(v)
-            echoes = store.group(Kind.BVECHO, self.iid, r, 1 + v)
-            good = [
-                m
-                for m in self._active_count(echoes, want)
-                if self._bvecho_admissible(m)
-            ]
-            others = [m for m in good if m.signer != self.core.pid]
-            if v not in rs.sent_bvecho and len(others) >= second_need:
+            signers = self._support(r, v)
+            others = signers & ~(1 << pid)
+            if v not in rs.sent_bvecho and others.bit_count() >= second_need:
                 cert = ()
                 if r > 1 and not (r == 2 and v == 1):
-                    cert = pick_certificate(others)
+                    echoes = self.core.store.group(Kind.BVECHO, self.iid, r, 1 + v)
+                    cert = pick_certificate(echoes[s] for s in mask_members(others))
                     if not cert:
                         continue
                 rs.sent_bvecho.add(v)
-                self._emit(Kind.BVECHO, r, 1 + v, want, cert)
-                echoes = store.group(Kind.BVECHO, self.iid, r, 1 + v)
-                good = [
-                    m
-                    for m in self._active_count(echoes, want)
-                    if self._bvecho_admissible(m)
-                ]
-            if v not in rs.bin_vals and len(good) >= com.h:
-                good.sort(key=lambda m: m.signer)
-                cert = tuple(m.stripped() for m in good[: com.h])
+                self._emit(Kind.BVECHO, r, 1 + v, enc_bit(v), cert)
+                signers = self._support(r, v)
+            if v not in rs.bin_vals and signers.bit_count() >= com.h:
+                cert = self._quorum_cert(Kind.BVECHO, r, 1 + v, signers)
                 self._bv_deliver(r, v, cert)
 
         # phase-1 exit
@@ -327,40 +366,29 @@ class BinaryInstance:
         self.pump()
 
     def _comp_vals(self, rs: RoundState) -> Optional[frozenset]:
-        r = self.round
+        tally = self._counts()
         h = self.committee.h
-        sets: dict[int, frozenset] = {}
-        for m in self._active_count(
-            self.core.store.group(Kind.ECHO, self.iid, r, 2)
-        ):
-            s = dec_bits(m.payload)
-            if s is not None:
-                sets[m.signer] = s
+        counts = {s: tally[i].bit_count() for s, i in _AUX_INDEX.items() if tally[i]}
         aux = rs.aux or frozenset()
-        in_aux = [s for s in sets.values() if s <= aux]
-        if len(in_aux) >= h and frozenset().union(*in_aux) == aux:
+        in_aux = [s for s in counts if s <= aux]
+        if sum(counts[s] for s in in_aux) >= h and frozenset().union(*in_aux) == aux:
             return aux
         bits = frozenset(rs.bin_vals)
-        in_bin = [s for s in sets.values() if s and s <= bits]
-        if len(in_bin) < h:
+        in_bin = [s for s in counts if s <= bits]
+        if sum(counts[s] for s in in_bin) < h:
             return None
-        p = parity(r)
+        p = parity(self.round)
         # deterministic preference among the admissible h-subsets: a unanimous
         # parity quorum, then a unanimous non-parity quorum, then the mix
         for pick in (frozenset({p}), frozenset({1 - p})):
-            if pick <= bits and sum(1 for s in in_bin if s == pick) >= h:
+            if pick <= bits and counts.get(pick, 0) >= h:
                 return pick
         return frozenset().union(*in_bin)
 
     def _echo_only_cert(self, v: int) -> tuple:
-        r = self.round
-        want = enc_bits({v})
-        good = self._active_count(
-            self.core.store.group(Kind.ECHO, self.iid, r, 2), want
-        )
-        assert len(good) >= self.committee.h, "phase-2 exit guaranteed these"
-        good.sort(key=lambda m: m.signer)
-        return tuple(m.stripped() for m in good[: self.committee.h])
+        signers = self._counts()[_AUX_INDEX[frozenset({v})]]
+        assert signers.bit_count() >= self.committee.h, "phase-2 exit guaranteed these"
+        return self._quorum_cert(Kind.ECHO, self.round, 2, signers)
 
     def _finish_round(self, rs: RoundState, vals: frozenset) -> None:
         r = self.round
@@ -386,6 +414,7 @@ class BinaryInstance:
         self.decided = (v, r)
         self.decision_cert = tuple(cert)
         self.decided_at = self.core.now()
+        self._tally = None
         # invalidate timers
         rs = self.rounds.get(self.round)
         if rs is not None:

@@ -4,13 +4,16 @@ with an h(d_r)-echo certificate, and timer-driven set exchange until delivery.
 Deceitful sources that INIT different values to different processes either
 fail to reach an echo quorum anywhere (and the set exchange then yields fraud
 proofs), or one value wins; helpers echoing both values convict themselves.
+
+ECHO support is tallied per value as the store admits each echo, and
+recounted from the store only when the committee's exclusion count changes.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .committee import Committee
+from .committee import Committee, mask_members
 from .crypto import Kind, SignedMessage, msgset_payload
 
 
@@ -29,6 +32,10 @@ class BroadcastInstance:
         self.fires = 0
         self.cancelled = False
         self._armed = False
+        # value -> bitmask of active echo signers, and the d_r it was counted
+        # under; none until the first pump, dropped at delivery or cancellation
+        self._counted_d_r = 0
+        self._echoes: Optional[dict[bytes, int]] = None
 
     # ------------------------------------------------------------- lifecycle
 
@@ -50,6 +57,7 @@ class BroadcastInstance:
         """Parent no longer needs this value (its slot decided 0)."""
         self.cancelled = True
         self.epoch += 1
+        self._echoes = None
 
     def _emit(self, kind, payload: bytes, certificate=()):
         msg = self.core.sign(kind, self.iid, 1, kind_phase(kind), payload, certificate)
@@ -106,31 +114,53 @@ class BroadcastInstance:
             self._emit(Kind.READY, m.payload, tuple(m.certificate))
         self._deliver(m.payload)
 
+    def tally(self, m: SignedMessage) -> None:
+        """Count a message the store just admitted as new or upgraded (a
+        tally counted under an older d_r is recounted before it is read)."""
+        if self._echoes is not None:
+            self._count(m)
+
+    def _count(self, m: SignedMessage) -> None:
+        if (
+            m.kind == Kind.ECHO
+            and m.round == 1
+            and m.phase == _ECHO_PHASE
+            and self.committee.is_active(m.signer)
+        ):
+            self._echoes[m.payload] = self._echoes.get(m.payload, 0) | 1 << m.signer
+
+    def _support(self) -> dict[bytes, int]:
+        """The echo tally, recounted from the store if d_r moved."""
+        d_r = self.committee.d_r
+        if self._echoes is None or self._counted_d_r != d_r:
+            self._counted_d_r = d_r
+            self._echoes = {}
+            group = self.core.store.group(Kind.ECHO, self.iid, 1, _ECHO_PHASE)
+            for m in group.values():
+                self._count(m)
+        return self._echoes
+
     def pump(self) -> None:
-        if self.delivered is not None or self.cancelled:
+        if self.delivered is not None or self.cancelled or self.ready_sent:
             return
-        by_value: dict[bytes, list] = {}
-        for signer, m in self.core.store.group(
-            Kind.ECHO, self.iid, 1, kind_phase(Kind.ECHO)
-        ).items():
-            if self.committee.is_active(signer):
-                by_value.setdefault(m.payload, []).append(m)
+        support = self._support()
         h = self.committee.h
-        for value in sorted(by_value):
-            msgs = by_value[value]
-            if len(msgs) >= h and not self.ready_sent:
-                msgs.sort(key=lambda m: m.signer)
-                cert = tuple(m.stripped() for m in msgs[:h])
-                self.ready_sent = True
-                self._emit(Kind.READY, value, cert)
-                self._deliver(value)
-                return
+        quorum = [value for value, mask in support.items() if mask.bit_count() >= h]
+        if not quorum:
+            return
+        value = min(quorum)
+        group = self.core.store.group(Kind.ECHO, self.iid, 1, _ECHO_PHASE)
+        cert = tuple(group[s].stripped() for s in mask_members(support[value])[:h])
+        self.ready_sent = True
+        self._emit(Kind.READY, value, cert)
+        self._deliver(value)
 
     def _deliver(self, value: bytes) -> None:
         if self.delivered is not None:
             return
         self.delivered = value
         self.delivered_at = self.core.now()
+        self._echoes = None
         self.epoch += 1  # cancels pending timer
         self.core.rb_delivered(self.iid, self.source, value)
 
@@ -156,6 +186,10 @@ class BroadcastInstance:
             self._arm()
 
 
+# fixed wire phases: INIT announces, ECHO supports, READY commits
+_PHASES = {Kind.INIT: 0, Kind.ECHO: 1, Kind.READY: 2}
+_ECHO_PHASE = _PHASES[Kind.ECHO]
+
+
 def kind_phase(kind: int) -> int:
-    # fixed wire phases: INIT announces, ECHO supports, READY commits
-    return {Kind.INIT: 0, Kind.ECHO: 1, Kind.READY: 2}.get(kind, 0)
+    return _PHASES.get(kind, 0)

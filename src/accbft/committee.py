@@ -74,9 +74,11 @@ class Committee:
     h0: int
     local_deceitful: set[int] = field(default_factory=set)
     local_pofs: dict[tuple, Pof] = field(default_factory=dict)
+    _initial_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        assert len(set(self.initial)) == len(self.initial)
+        self._initial_set = frozenset(self.initial)
+        assert len(self._initial_set) == len(self.initial)
         assert len(self.initial) / 2 < self.h0 <= len(self.initial)
 
     @property
@@ -96,7 +98,7 @@ class Committee:
         return [p for p in self.initial if p not in self.local_deceitful]
 
     def is_active(self, pid: int) -> bool:
-        return pid in self.initial and pid not in self.local_deceitful
+        return pid in self._initial_set and pid not in self.local_deceitful
 
     def coordinator(self, round: int) -> int:
         # Rotation stays over the initial list: a process excluded mid-run that
@@ -115,6 +117,11 @@ class Committee:
             local_deceitful=set(self.local_deceitful),
             local_pofs=dict(self.local_pofs),
         )
+
+
+def mask_members(mask: int) -> list[int]:
+    """The pids of a signer bitmask (bit p set for pid p), ascending."""
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
 def update_committee(

@@ -29,6 +29,7 @@ from .crypto import (
     Kind,
     Pof,
     SignedMessage,
+    _enc_u32,
     derive_pof,
     make_message,
     pofs_payload,
@@ -36,6 +37,7 @@ from .crypto import (
 )
 
 _EMPTY: dict = {}
+_ENVELOPES = frozenset({Kind.MSGSET, Kind.POF_LIST})
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,6 @@ class MessageStore:
         self.slots: dict[tuple, SignedMessage] = {}
         self.by_group: dict[tuple, dict[int, SignedMessage]] = {}
         self.by_instance: dict[InstanceId, list[SignedMessage]] = {}
-        # replaced-by-upgrade objects, kept so id()-keyed caches stay unique
-        self._retired: list[SignedMessage] = []
 
     def group(self, kind: int, iid: InstanceId, round: int, phase: int):
         return self.by_group.get((kind, iid, round, phase), _EMPTY)
@@ -100,7 +100,6 @@ class MessageStore:
         return "new", None
 
     def _replace(self, key: tuple, prev: SignedMessage, msg: SignedMessage) -> None:
-        self._retired.append(prev)
         self.slots[key] = msg
         self.by_group[(msg.kind, msg.instance, msg.round, msg.phase)][
             msg.signer
@@ -215,8 +214,18 @@ class NodeCore:
 
     def emit(self, msg: SignedMessage, committee: Committee, store_own=True) -> None:
         if store_own:
-            self.store.admit(self.registry, msg)
+            self._admit(msg)
         self.net.broadcast([p for p in committee.members if p != self.pid], msg)
+
+    def _admit(self, msg: SignedMessage) -> tuple[str, Optional[Pof]]:
+        """Store a verified message; a new or upgraded one is counted at once
+        by its instance's tallies, before anything is dispatched."""
+        status, pof = self.store.admit(self.registry, msg)
+        if status == "new" or status == "upgraded":
+            ctx = self.context_for(msg.instance)
+            if ctx is not None:
+                ctx.tally(msg)
+        return status, pof
 
     # ---------------------------------------------------------------- routing
 
@@ -255,33 +264,32 @@ class NodeCore:
             self.ingest_pofs(found)
 
     def _ingest(self, m: SignedMessage, found: list, fresh: list) -> None:
-        if m.kind in (Kind.MSGSET, Kind.POF_LIST):
-            return  # envelopes never nest
+        slots = self.store.slots
+        # envelopes never nest; and the very object stored here is verified
+        # and cannot upgrade itself, so one slot lookup settles it
+        if m.kind in _ENVELOPES or slots.get(m.slot()) is m:
+            return
+        status = self._ingest_one(m, found, fresh)
+        if status is None or status == "dup":
+            # the stored copy's certificate was already walked on first sight;
+            # retransmissions add nothing (their inners ride the wire anyway)
+            return
+        for inner in m.certificate:
+            if slots.get(inner.slot()) is not inner and inner.kind not in _ENVELOPES:
+                self._ingest_one(inner, found, fresh)
+
+    def _ingest_one(self, m: SignedMessage, found: list, fresh: list) -> Optional[str]:
+        """Verify and admit one message; None if its signature is bad."""
         if not verify_message(self.registry, m):
             self.metrics.bad_signature += 1
-            return
-        status, pof = self.store.admit(self.registry, m)
+            return None
+        status, pof = self._admit(m)
         if pof is not None:
             found.append(pof)
         if status in ("new", "upgraded"):
             self.metrics.admitted += 1
             fresh.append(m)
-        elif status == "dup":
-            # the stored copy's certificate was already walked on first sight;
-            # retransmissions add nothing (their inners ride the wire anyway)
-            return
-        for inner in m.certificate:
-            if inner.kind in (Kind.MSGSET, Kind.POF_LIST):
-                continue
-            if not verify_message(self.registry, inner):
-                self.metrics.bad_signature += 1
-                continue
-            st, pof2 = self.store.admit(self.registry, inner)
-            if pof2 is not None:
-                found.append(pof2)
-            if st in ("new", "upgraded"):
-                self.metrics.admitted += 1
-                fresh.append(inner)
+        return status
 
     def _dispatch(self, m: SignedMessage) -> None:
         ctx = self.context_for(m.instance)
@@ -343,10 +351,6 @@ class NodeCore:
 # ---------------------------------------------------------------------------
 # block encodings and the pure confirmation rule
 # ---------------------------------------------------------------------------
-
-
-def _enc_u32(x: int) -> bytes:
-    return x.to_bytes(4, "big")
 
 
 def encode_value_set(values: Iterable[bytes]) -> bytes:
@@ -481,17 +485,24 @@ class MultiContext:
         for m in list(store.instance_msgs(self.confirm_iid)):
             self.on_confirm_message(m)
 
-    def dispatch(self, m: SignedMessage) -> None:
-        chan, idx = m.instance[3], m.instance[4]
+    def _instance(self, iid: InstanceId):
+        chan, idx = iid[3], iid[4]
         if chan == CHAN_BCAST:
-            inst = self.slots.get(idx)
-            if inst is not None:
-                inst.on_message(m)
-        elif chan == CHAN_BINARY:
-            inst = self.bins.get(idx)
-            if inst is not None:
-                inst.on_message(m)
-        elif chan == CHAN_CONFIRM:
+            return self.slots.get(idx)
+        if chan == CHAN_BINARY:
+            return self.bins.get(idx)
+        return None
+
+    def tally(self, m: SignedMessage) -> None:
+        inst = self._instance(m.instance)
+        if inst is not None:
+            inst.tally(m)
+
+    def dispatch(self, m: SignedMessage) -> None:
+        inst = self._instance(m.instance)
+        if inst is not None:
+            inst.on_message(m)
+        elif m.instance[3] == CHAN_CONFIRM:
             self.on_confirm_message(m)
 
     # -------------------------------------------------------------- progress

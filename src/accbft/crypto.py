@@ -166,19 +166,7 @@ class KeyRegistry:
         self._priv: dict[int, object] = {}
         self._pub: dict[int, object] = {}
         for pid in pids:
-            root = hashlib.blake2b(
-                b"accbft-key:%d:%d" % (seed, pid), digest_size=32
-            ).digest()
-            if scheme == "blake2":
-                self._macs[pid] = root
-            else:
-                from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-                    Ed25519PrivateKey,
-                )
-
-                priv = Ed25519PrivateKey.from_private_bytes(root)
-                self._priv[pid] = priv
-                self._pub[pid] = priv.public_key()
+            self.add(pid, seed)
 
     def add(self, pid: int, seed: int = 0) -> None:
         if pid not in self._macs and pid not in self._priv:

@@ -170,8 +170,12 @@ def decode_block(blob: bytes) -> Block:
     off = 44
     txs = []
     for _ in range(n_txs):
-        (txlen,) = struct.unpack_from(">I", blob, off)
-        tx, end = _decode_tx(blob, off + 4)
+        try:
+            (txlen,) = struct.unpack_from(">I", blob, off)
+            tx, end = _decode_tx(blob, off + 4)
+        except struct.error:
+            # a short read anywhere in a transaction is a truncated block
+            raise ValueError("truncated transaction") from None
         if end != off + 4 + txlen:
             raise ValueError("transaction length mismatch")
         txs.append(tx)

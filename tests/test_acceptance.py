@@ -1,8 +1,9 @@
 """Acceptance battery: the eleven end-to-end guarantees, one test each.
 
 Every test prints a single PASS line with its headline numbers (run pytest
-with -s to watch them stream).  The whole battery takes about seven minutes
-on one core; the message-growth sweep dominates.
+with -s to watch them stream).  The whole battery takes about five minutes
+on one core; the message-growth sweep dominates.  Criteria 02, 08 and 10
+are marked slow.
 """
 
 import random
@@ -161,6 +162,7 @@ def test_criterion_01_tolerance_frontier_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_agreement_under_tolerated_faults():
     started = time.perf_counter()
     runs = 0
@@ -278,6 +280,7 @@ def test_criterion_07_quoted_depth_for_51_branches():
     assert min_blockdepth(51, "0.1", "0.9") == 58
 
 
+@pytest.mark.slow
 def test_criterion_08_membership_convergence():
     scn = llb_scenario()
     for seed in range(1, 6):
@@ -334,6 +337,7 @@ def test_criterion_09_fork_merge_matches_replay_oracle():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_message_growth_is_cubic_band():
     started = time.perf_counter()
     means = complexity_means(20)

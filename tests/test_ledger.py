@@ -107,6 +107,18 @@ def test_decode_block_rejects_bad_framing(registry):
         decode_block(bad)
 
 
+def test_decode_block_rejects_every_truncation(registry):
+    genesis, state = make_genesis({1: 100, 2: 40})
+    one_tx = block_of([pay(registry, state, 1, 2)], genesis.digest()).encoding()
+    two_tx = block_of(
+        [pay(registry, state, 1, 2), pay(registry, state, 2, 1)], genesis.digest()
+    ).encoding()
+    for blob in (one_tx, two_tx):
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                decode_block(blob[:cut])
+
+
 def test_gain_cap(registry):
     genesis, state = make_genesis({1: 60, 2: 60})
     txs = [pay(registry, state, 1, 2), pay(registry, state, 2, 1)]

@@ -1,6 +1,9 @@
 """Scenario descriptions, role layout, and whole-run invariants."""
 
+import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +208,51 @@ def test_trace_capture_is_opt_in():
     traced = run_scenario(scn, 1, trace=True)
     events = traced.world.net.trace
     assert events and {"t", "ev", "from", "to", "at"} <= set(events[0])
+
+
+# canonical_record digests for seed 1, taken before quorum counting became
+# incremental; any refactor of the consensus core must reproduce them.
+GOLDEN_RECORDS = {
+    "clean-n4-h2": "780487c3a5d1c95a7f1897e6c2c306f3edd312265a48e91af3ad3c5476075198",
+    "fork-binary-ledger-n9": "887141efebabd6cfd5a3e4bdbcb6d24f6ad2162bbb8f46398e0f7d31e00c31b4",
+}
+
+
+def test_golden_records_are_unchanged(clean_record):
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "fork-binary-ledger-n9.json"
+    fork_record = run_scenario(load_scenario(path), 1).record
+    got = {
+        name: hashlib.sha256(canonical_record(rec).encode()).hexdigest()
+        for name, rec in (("clean-n4-h2", clean_record), ("fork-binary-ledger-n9", fork_record))
+    }
+    assert got == GOLDEN_RECORDS
+
+
+@pytest.mark.xfail(strict=True, reason="membership repair stalls on a stale proposer snapshot")
+def test_ledger_fork_seed_37_finishes_every_height():
+    """Known liveness defect: on this seed honest process 6 never finishes.
+
+    ``MultiContext.proposers`` is ``committee.members`` at the moment the
+    context is built, and each process builds its exclusion context when its
+    own proof count crosses the trigger, so the snapshots differ.  Here
+    process 6 built its exclusion context with proposers (2, 6, 7, 8, 9),
+    process 7 with (6, 7, 8, 9), and processes 8 and 9 with (3, 6, 7, 8, 9).
+    Nobody else runs a vote on proposer 2, so process 6's vote on it never
+    ends, its exclusion vote never decides, and it stays at height 2 while
+    processes 7-9 repair the committee and decide all 40 heights.  The run
+    ends at the horizon.  Fixing it changes the protocol (the proposer set
+    has to be agreed, not snapshotted).
+    """
+    scn = dataclasses.replace(
+        fork_scenario("binary-fork", payload="ledger"),
+        heights=40,
+        pool=5,
+        txs_per_block=16,
+        deposit={"gain_cap": 1600, "factor": "0.1", "blockdepth": 28},
+        alpha="4/9",
+        horizon_ms=600_000,
+    )
+    record = run_scenario(scn, 37).record
+    assert record["heights_done"] == {
+        pid: scn.heights for pid in record["heights_done"]
+    }

@@ -1,0 +1,147 @@
+"""Incremental quorum tallies against a from-scratch recount of the store.
+
+A core is driven through random admissions: plain and certificate-carrying
+estimates, upgrades of estimates first seen without their certificate,
+conflicting sends, phase-2 echoes and broadcast echoes, plus exclusions on
+the core's committee and on a second context's own committee (which changes
+without a committee-version bump).  After every step, the tallies the next
+pump would count with must equal what a recount of the store gives.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from accbft.binary import _AUX_INDEX, dec_bits, enc_bit, enc_bits
+from accbft.broadcast import kind_phase
+from accbft.committee import Committee, mask_members, update_committee
+from accbft.consensus import MultiContext
+from accbft.crypto import Kind, make_message
+from conftest import fraud_proof, mini_world
+
+N = 5
+SIGNER = st.integers(2, N)
+CTX = st.integers(0, 1)
+BIN = st.sampled_from([2, 3])  # slot 2 votes in round 1, slot 3 in round 2
+
+ACTIONS = st.one_of(
+    st.tuples(
+        st.just("bvecho"), CTX, BIN, st.integers(1, 2), st.integers(0, 1), SIGNER,
+        st.booleans(),  # payload names the other value than the slot's phase
+        st.sampled_from(["none", "bvecho", "echo"]),
+        st.sets(SIGNER, max_size=N - 1),
+    ),
+    st.tuples(
+        st.just("echo"), CTX, BIN, st.integers(1, 2),
+        st.sampled_from([b"\x00", b"\x01", b"\x00\x01", b"\x01\x00", b"\x02"]), SIGNER,
+    ),
+    st.tuples(st.just("upgrade"), CTX, st.integers(0, 1), SIGNER),
+    st.tuples(st.just("rb_echo"), CTX, BIN, SIGNER, st.sampled_from([b"a", b"b"])),
+    st.tuples(st.just("exclude"), CTX, st.sampled_from([4, 5]), st.binary(max_size=2)),
+)
+
+
+def recount_binary(inst):
+    store, com, r = inst.core.store, inst.committee, inst.round
+    bvecho = [
+        {
+            s
+            for s, m in store.group(Kind.BVECHO, inst.iid, r, 1 + v).items()
+            if m.payload == enc_bit(v) and com.is_active(s) and inst._bvecho_admissible(m)
+        }
+        for v in (0, 1)
+    ]
+    aux = {}
+    for s, m in store.group(Kind.ECHO, inst.iid, r, 2).items():
+        bits = dec_bits(m.payload)
+        if bits is not None and com.is_active(s):
+            aux.setdefault(bits, set()).add(s)
+    return bvecho, aux
+
+
+def recount_broadcast(inst):
+    echoes = {}
+    group = inst.core.store.group(Kind.ECHO, inst.iid, 1, kind_phase(Kind.ECHO))
+    for s, m in group.items():
+        if inst.committee.is_active(s):
+            echoes.setdefault(m.payload, set()).add(s)
+    return echoes
+
+
+def check_tallies(ctxs):
+    """What the next pump would count with equals a recount of the store."""
+    for ctx in ctxs:
+        for inst in ctx.bins.values():
+            if inst.started and inst.decided is None:
+                tally = inst._counts()
+                bvecho = [set(mask_members(mask)) for mask in tally[:2]]
+                aux = {s: set(mask_members(tally[i])) for s, i in _AUX_INDEX.items() if tally[i]}
+                assert (bvecho, aux) == recount_binary(inst)
+        for inst in ctx.slots.values():
+            if inst.delivered is None and not inst.cancelled:
+                echoes = {v: set(mask_members(mask)) for v, mask in inst._support().items()}
+                assert echoes == recount_broadcast(inst)
+
+
+def certificate(reg, iid, kind, r, v, signers):
+    if kind == "bvecho":
+        return tuple(
+            make_message(reg, s, Kind.BVECHO, iid, r, 1 + v, enc_bit(v)) for s in sorted(signers)
+        )
+    return tuple(
+        make_message(reg, s, Kind.ECHO, iid, r, 2, enc_bits({v})) for s in sorted(signers)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ACTIONS, max_size=40))
+def test_tallies_match_a_recount_after_every_step(actions):
+    _, reg, cores = mini_world(N)
+    core = cores[1]
+    side = Committee(initial=tuple(range(1, N + 1)), h0=core.committee.h0)
+    ctxs = [MultiContext(core, core.committee, period=0), MultiContext(core, side, period=1)]
+    for ctx in ctxs:
+        core.register_context(ctx)
+        ctx.bins[2].propose(1)
+        ctx.bins[3].propose(0)
+        ctx.bins[3]._enter_round(2)
+    check_tallies(ctxs)
+    for action in actions:
+        kind, ci = action[0], action[1]
+        ctx = ctxs[ci]
+        if kind == "bvecho":
+            _, _, src, r, v, signer, flip, cert_kind, cert_signers = action
+            iid = ctx.bins[src].iid
+            cert = () if cert_kind == "none" else certificate(
+                reg, iid, cert_kind, r - 1 if r > 1 else 1, v, cert_signers
+            )
+            payload = enc_bit(1 - v if flip else v)
+            msg = make_message(reg, signer, Kind.BVECHO, iid, r, 1 + v, payload, cert)
+            core.deliver_frame(signer, msg)
+        elif kind == "upgrade":
+            # a round-2 estimate seen bare (inadmissible unless exempt), then
+            # again with a full round-1 certificate
+            _, _, v, signer = action
+            iid = ctx.bins[3].iid
+            cert = certificate(reg, iid, "bvecho", 1, v, range(2, N + 1))
+            for attached in ((), cert):
+                msg = make_message(reg, signer, Kind.BVECHO, iid, 2, 1 + v, enc_bit(v), attached)
+                core.deliver_frame(signer, msg)
+                check_tallies(ctxs)
+        elif kind == "echo":
+            _, _, src, r, payload, signer = action
+            msg = make_message(reg, signer, Kind.ECHO, ctx.bins[src].iid, r, 2, payload)
+            core.deliver_frame(signer, msg)
+        elif kind == "rb_echo":
+            _, _, src, signer, value = action
+            msg = make_message(reg, signer, Kind.ECHO, ctx.slots[src].iid, 1, 1, value)
+            core.deliver_frame(signer, msg)
+        else:
+            _, _, accused, salt = action
+            pof = fraud_proof(reg, accused, salt)
+            if ctx.committee is core.committee:
+                core.ingest_pofs([pof])
+            else:
+                # membership updates its working committee in place, with no
+                # version bump and no recheck pass
+                update_committee(ctx.committee, [pof])
+        check_tallies(ctxs)
