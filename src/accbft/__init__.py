@@ -22,7 +22,6 @@ from .committee import (
     FaultProfile,
     consensus_tolerated,
     default_h0,
-    eventual_consensus_tolerated,
     threshold_tolerated,
     update_committee,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "FaultProfile",
     "consensus_tolerated",
     "default_h0",
-    "eventual_consensus_tolerated",
     "threshold_tolerated",
     "update_committee",
     "Kind",

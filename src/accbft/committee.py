@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .crypto import KeyRegistry, Pof, verify_pof
 
@@ -52,20 +52,8 @@ def threshold_tolerated(p: FaultProfile, h: int) -> tuple[bool, bool]:
     return safety, liveness
 
 
-def eventual_consensus_tolerated(p: FaultProfile, h: int) -> bool:
-    """Weaker bound where disagreement is allowed if later reconciled."""
-    _check_h(p.n, h)
-    return p.d + p.t < h and p.q + p.t <= p.n - h
-
-
 def default_h0(n: int) -> int:
     return math.ceil(2 * n / 3)
-
-
-def default_membership_h0(n: int) -> int:
-    # Threshold preset for membership-change consensus; leaves slack for the
-    # extra equivocators such runs have just convicted.
-    return math.ceil(7 * n / 9)
 
 
 @dataclass
@@ -105,18 +93,6 @@ class Committee:
         # holds the coordinator role keeps it for that round (it simply never
         # sends, and the phase completes without coordinator help).
         return self.initial[(round - 1) % self.n0]
-
-    def below_majority(self) -> bool:
-        """Out-of-model flag: more exclusions than the threshold can absorb."""
-        return self.h <= len(self.members) // 2
-
-    def clone(self) -> "Committee":
-        return Committee(
-            initial=self.initial,
-            h0=self.h0,
-            local_deceitful=set(self.local_deceitful),
-            local_pofs=dict(self.local_pofs),
-        )
 
 
 def mask_members(mask: int) -> list[int]:

@@ -685,55 +685,3 @@ class MultiContext:
             return decode_value_set(self.decision)
         return [self.decision]
 
-
-# ---------------------------------------------------------------------------
-# eventual-consensus adapter
-# ---------------------------------------------------------------------------
-
-
-class EcSequence:
-    """Epoch-chained adapter over one multi-valued instance (min-index mode).
-
-    Epoch 0 projects the instance's local view; later epochs carry the output
-    forward and repair it when certified disagreements surface: a value fork
-    on a broadcast slot resolves to the smaller value, a bit fork forces the
-    bit to 1 and the projection is recomputed.  Every repair applied in an
-    epoch is returned so the caller can broadcast it with its certificates.
-    """
-
-    def __init__(self, values: dict[int, bytes], bits: dict[int, int]):
-        self.values = dict(values)
-        self.bits = dict(bits)
-        self.outputs: list[Optional[bytes]] = []
-        self.pending: list[tuple] = []
-
-    @property
-    def epoch(self) -> int:
-        return len(self.outputs) - 1
-
-    def _project(self) -> Optional[bytes]:
-        ones = sorted(k for k, b in self.bits.items() if b == 1)
-        for k in ones:
-            if k in self.values:
-                return self.values[k]
-        return None
-
-    def observe_value_fork(self, slot: int, other: bytes) -> None:
-        mine = self.values.get(slot)
-        low = other if mine is None else min(mine, other)
-        if low != mine:
-            self.values[slot] = low
-            self.pending.append(("value", slot, low))
-
-    def observe_bit_fork(self, slot: int) -> None:
-        if self.bits.get(slot) != 1:
-            self.bits[slot] = 1
-            self.pending.append(("bit", slot, 1))
-
-    def propose_ec(self, j: int) -> tuple[Optional[bytes], list[tuple]]:
-        """Produce epoch j's output plus the repairs treated this epoch."""
-        assert j == len(self.outputs), "epochs respond in order"
-        treated, self.pending = self.pending, []
-        out = self._project()
-        self.outputs.append(out)
-        return out, treated

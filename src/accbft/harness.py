@@ -15,7 +15,6 @@ import multiprocessing
 import os
 import random
 import sys
-import time
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -306,10 +305,55 @@ def pick_profile(n: int, seed: int) -> tuple[int, int, int]:
     return profiles[random.Random((n << 20) ^ seed).randrange(len(profiles))]
 
 
+# Batch builders run each seeded batch once; the check functions below are
+# pure over their records (or over nothing, for the closed-form checks) and
+# return (label, ok, detail).  The acceptance battery calls the same checks.
+
+Check = tuple[str, bool, str]
+
+AGREEMENT_SIZES = (4, 7, 10)
+FORK_KINDS = ("broadcast-fork", "binary-fork")
+
+
+def agreement_records(seeds: int) -> list[dict]:
+    records = []
+    for n in AGREEMENT_SIZES:
+        for seed in range(1, seeds + 1):
+            t, d, q = pick_profile(n, seed)
+            records.append(run_scenario(agreement_scenario(n, t, d, q), seed).record)
+    return records
+
+
+def _seeded(scn: Scenario, seeds: int) -> list[dict]:
+    return [run_scenario(scn, seed).record for seed in range(1, seeds + 1)]
+
+
+def spam_records(seeds: int) -> list[dict]:
+    return _seeded(spam_scenario(), seeds)
+
+
+def fork_records(seeds: int) -> dict[str, list[dict]]:
+    return {kind: _seeded(fork_scenario(kind), seeds) for kind in FORK_KINDS}
+
+
+def llb_records(seeds: int) -> list[dict]:
+    return _seeded(llb_scenario(), seeds)
+
+
+COMPLEXITY_SIZES = (4, 10, 20, 40)
+
+
+def complexity_means(seeds: int) -> dict[int, float]:
+    means = {}
+    for n in COMPLEXITY_SIZES:
+        records = _seeded(complexity_scenario(n), seeds)
+        means[n] = sum(r["msgs_per_binary_instance"] for r in records) / seeds
+    return means
+
+
 def _terminated(record: dict) -> bool:
-    return all(
-        v >= record["heights_target"] for v in record["heights_done"].values()
-    )
+    done = record["heights_done"].values()
+    return bool(done) and min(done) >= record["heights_target"]
 
 
 def _ratio_non_increasing(record: dict) -> bool:
@@ -317,214 +361,248 @@ def _ratio_non_increasing(record: dict) -> bool:
     return all(b <= a for a, b in zip(ratios, ratios[1:]))
 
 
-def suite_agreement(seeds: int = 200) -> list[tuple[str, bool, str]]:
-    checks = []
+def _run_id(record: dict) -> str:
+    return "%s/seed%d" % (record["scenario"], record["seed"])
 
-    mismatch = 0
+
+def _failing(label: str, records: list[dict], healthy, what: str) -> Check:
+    bad = [_run_id(r) for r in records if not healthy(r)]
+    return (
+        label,
+        not bad,
+        "%d runs, %s, failing: %s" % (len(records), what, bad or "none"),
+    )
+
+
+def check_frontier() -> Check:
+    """The closed form n > 3t+d+2q agrees with a search over thresholds h."""
+    checked = mismatch = 0
     for n in range(1, 13):
         for t in range(n + 1):
             for d in range(n + 1 - t):
                 for q in range(n + 1 - t - d):
                     profile = FaultProfile(n, t, d, q)
-                    direct = consensus_tolerated(profile)
                     via_h = any(
-                        all(threshold_tolerated(profile, h))
+                        threshold_tolerated(profile, h) == (True, True)
                         for h in range(n // 2 + 1, n + 1)
                     )
-                    mismatch += direct != via_h
-    checks.append(
-        (
-            "tolerance-frontier-equivalence",
-            mismatch == 0,
-            "profile-vs-threshold disagreements for n<=12: %d" % mismatch,
-        )
+                    mismatch += consensus_tolerated(profile) != via_h
+                    checked += 1
+    return (
+        "tolerance-frontier-equivalence",
+        mismatch == 0,
+        "%d profiles for n<=12, closed form vs threshold search disagreements: %d"
+        % (checked, mismatch),
     )
 
-    started = time.monotonic()
-    failures = []
-    for n in (4, 7, 10):
-        for seed in range(1, seeds + 1):
-            t, d, q = pick_profile(n, seed)
-            record = run_scenario(agreement_scenario(n, t, d, q), seed).record
-            if record["disagreements"] or not _terminated(record):
-                failures.append((n, seed, t, d, q))
-    elapsed = time.monotonic() - started
-    checks.append(
-        (
-            "agreement-under-tolerated-faults",
-            not failures,
-            "%d runs in %.1fs, failing: %s" % (3 * seeds, elapsed, failures or "none"),
-        )
-    )
-    return checks
 
-
-def suite_attack(seeds: int = 100) -> list[tuple[str, bool, str]]:
-    checks = []
-
-    spam = spam_scenario()
-    bad_spam = []
-    for seed in range(1, seeds + 1):
-        record = run_scenario(spam, seed).record
-        one_exclusion = all(
-            len(v) == 1 for v in record["committee_excluded"].values()
-        )
-        if not (_terminated(record) and one_exclusion):
-            bad_spam.append(seed)
-    checks.append(
-        (
-            "spam-terminates-after-one-exclusion",
-            not bad_spam,
-            "%d seeds, failing: %s" % (seeds, bad_spam or "none"),
-        )
+def check_agreement(records: list[dict]) -> Check:
+    return _failing(
+        "agreement-under-tolerated-faults",
+        records,
+        lambda r: r["disagreements"] == 0 and r["failures"] == {} and _terminated(r),
+        "no disagreement, no failure, every honest process done",
     )
 
-    oracle_bad = 0
+
+SPAM_EXCLUDED = {"3": [1], "4": [1]}  # both honest processes convict pid 1 only
+
+
+def check_spam(records: list[dict]) -> Check:
+    return _failing(
+        "spam-terminates-after-one-exclusion",
+        records,
+        lambda r: r["failures"] == {}
+        and set(r["phases"].values()) == {"done"}
+        and r["committee_excluded"] == SPAM_EXCLUDED
+        and set(r["heights_done"]) == set(SPAM_EXCLUDED)
+        and _terminated(r),
+        "honest 3 and 4 each exclude exactly pid 1 and terminate",
+    )
+
+
+def check_accountability(kind: str, records: list[dict]) -> Check:
+    """At least half the seeds fork, and after every fork each honest process
+    holds proofs against at least 2*h0-n distinct ids."""
+    forked = [r for r in records if r["disagreements"]]
+
+    def attributed(r: dict) -> bool:
+        need = r["fraud_threshold"]
+        return need == 2 * r["h0"] - r["n"] and all(
+            r["pof_counts"].get(str(p), 0) >= need for p in r["honest"]
+        )
+
+    bad = [
+        _run_id(r)
+        for r in records
+        if r["failures"] or (r["disagreements"] and not attributed(r))
+    ]
+    return (
+        "%s-accountability" % kind,
+        2 * len(forked) >= len(records) and not bad,
+        "%d/%d seeds forked (half needed), every fork fully attributed"
+        " (>= 2*h0-n ids), no failure; failing: %s"
+        % (len(forked), len(records), bad or "none"),
+    )
+
+
+def integer_partitions(total: int):
+    """All multisets of positive integers summing to ``total``."""
+
+    def rec(rem, cap):
+        if rem == 0:
+            yield ()
+            return
+        for first in range(min(rem, cap), 0, -1):
+            for rest in rec(rem - first, first):
+                yield (first,) + rest
+
+    return rec(total, total)
+
+
+def partition_oracle(n: int, h: int, dt: int) -> int:
+    """Most branches dt equivocators can sustain, by enumeration: seat the
+    n-dt loyal voters into groups and count groups that still clear the h-vote
+    bar with the equivocators voting everywhere."""
+    need = h - dt
+    best = max(sum(1 for p in part if p >= need) for part in integer_partitions(n - dt))
+    return max(1, best)
+
+
+def check_branch_bound(records: list[dict]) -> Check:
+    """Every run stays within max_branches, and max_branches matches the
+    partition enumeration at every (n, h, d+t) point with n <= 12."""
+    over = [
+        _run_id(r)
+        for r in records
+        if r["branches_max"] > max_branches(r["n"], r["h0"], r["d"] + r["t"])
+    ]
+    points = mismatch = 0
     for n in range(1, 13):
         for h in range(n // 2 + 1, n + 1):
             for dt in range(h):
-                bound = max_branches(n, h, dt)
-                greedy = max(1, (n - dt) // (h - dt))
-                oracle_bad += bound != greedy
-    checks.append(
-        ("branch-bound-oracle", oracle_bad == 0, "mismatches for n<=12: %d" % oracle_bad)
+                mismatch += max_branches(n, h, dt) != partition_oracle(n, h, dt)
+                points += 1
+    return (
+        "branch-bound-oracle",
+        not over and mismatch == 0,
+        "%d attack runs, over the bound: %s; enumeration mismatches on %d"
+        " (n,h,d+t) points: %d" % (len(records), over or "none", points, mismatch),
     )
 
-    for kind in ("broadcast-fork", "binary-fork"):
-        scn = fork_scenario(kind)
-        h0 = default_h0(scn.n)
-        need = 2 * h0 - scn.n
-        bound = max_branches(scn.n, h0, scn.d + scn.t)
-        forked = 0
-        bad: list[tuple[int, str]] = []
-        for seed in range(1, seeds + 1):
-            record = run_scenario(scn, seed).record
-            if record["branches_max"] > bound:
-                bad.append((seed, "branches %d > %d" % (record["branches_max"], bound)))
-            if record["disagreements"]:
-                forked += 1
-                short = [
-                    pid
-                    for pid, count in record["pof_counts"].items()
-                    if count < need
-                ]
-                if short:
-                    bad.append((seed, "honest %s hold < %d proofs" % (short, need)))
-        checks.append(
-            (
-                "%s-accountability" % kind,
-                not bad,
-                "%d/%d seeds forked, every fork fully attributed (>=%d ids); bad: %s"
-                % (forked, seeds, need, bad or "none"),
-            )
-        )
-    return checks
+
+LLB_MAX_CHANGES = 3
+LLB_MIN_TAIL = 100
 
 
-def suite_membership(seeds: int = 5) -> list[tuple[str, bool, str]]:
-    scn = llb_scenario()
-    bad = []
-    changes_seen = []
-    for seed in range(1, seeds + 1):
-        record = run_scenario(scn, seed).record
-        changes_seen.append(len(record["changes"]))
-        healthy = (
-            len(record["changes"]) <= 3
-            and record["agreed_tail"] >= 100
-            and _terminated(record)
-            and _ratio_non_increasing(record)
-        )
-        if not healthy:
-            bad.append(seed)
-    return [
-        (
-            "llb-converges-to-honest-committee",
-            not bad,
-            "%d seeds, changes used %s, failing: %s"
-            % (seeds, sorted(set(changes_seen)), bad or "none"),
-        )
-    ]
+def check_llb(records: list[dict]) -> Check:
+    return _failing(
+        "llb-converges-to-honest-committee",
+        records,
+        lambda r: r["failures"] == {}
+        and len(r["changes"]) <= LLB_MAX_CHANGES
+        and max(r["membership_changes"].values(), default=0) <= LLB_MAX_CHANGES
+        and r["agreed_tail"] >= LLB_MIN_TAIL
+        and _terminated(r)
+        and _ratio_non_increasing(r),
+        "changes used %s (<= %d), agreed tail >= %d, non-increasing deceitful ratio"
+        % (sorted({len(r["changes"]) for r in records}), LLB_MAX_CHANGES, LLB_MIN_TAIL),
+    )
 
 
-def suite_zeroloss() -> list[tuple[str, bool, str]]:
-    checks = []
-    rows = blockdepth_reference_rows()
-
+def check_blockdepth() -> Check:
+    """Finalization depths 28/37/46 from the reference table and from the
+    deceitful ratios 0.5/0.6/0.64 through their conservative branch counts;
+    ratio 0.66 gives 51 branches and depth 59, 3 branches at 0.55 depth 5."""
     exact = {3: 28, 6: 37, 14: 46}
-    got = {
+    table = {
         row["branches"]: row["computed_blockdepth"]
-        for row in rows
+        for row in blockdepth_reference_rows()
         if row["branches"] in exact and row["attack_success"] == "0.9"
     }
-    checks.append(
-        (
-            "blockdepth-reproduced",
-            got == exact,
-            "branch counts 3/6/14 -> %s (want %s)" % (got, exact),
-        )
+    want = {"0.5": (3, 28), "0.6": (6, 37), "0.64": (14, 46), "0.66": (51, 59)}
+    ratios = {}
+    for ratio in want:
+        branches = conservative_branches(ratio)
+        ratios[ratio] = (branches, min_blockdepth(branches, "0.1", "0.9"))
+    low_success = min_blockdepth(3, "0.1", "0.55")
+    return (
+        "blockdepth-reproduced",
+        table == exact and ratios == want and low_success == 5,
+        "branch counts 3/6/14 -> %s; ratio -> (branches, depth) %s;"
+        " 3 branches at 0.55 -> %d" % (table, ratios, low_success),
     )
+
+
+def check_flux_sign_flip() -> Check:
+    def flux(row: dict, depth: int) -> Fraction:
+        return deposit_flux(ZeroLossParams(
+            row["branches"], row["deposit_factor"], row["attack_success"], depth
+        ))
 
     flips = all(
-        deposit_flux(ZeroLossParams(row["branches"], row["deposit_factor"],
-                                    row["attack_success"], row["computed_blockdepth"]))
+        flux(row, row["computed_blockdepth"])
         >= 0
-        > deposit_flux(ZeroLossParams(row["branches"], row["deposit_factor"],
-                                      row["attack_success"],
-                                      row["computed_blockdepth"] - 1))
-        for row in rows
+        > flux(row, row["computed_blockdepth"] - 1)
+        for row in blockdepth_reference_rows()
     )
-    checks.append(
-        ("deposit-flux-sign-flip", flips, "flux flips sign at every computed depth")
-    )
+    return ("deposit-flux-sign-flip", flips, "flux flips sign at every computed depth")
 
+
+def check_quoted_discrepancies() -> Check:
     off = {
         (row["branches"], row["attack_success"]): (
             row["quoted_blockdepth"],
             row["computed_blockdepth"],
         )
-        for row in rows
+        for row in blockdepth_reference_rows()
         if not row["matches"]
     }
     expected_off = {(51, "0.9"): (58, 59), (3, "0.55"): (4, 5)}
-    checks.append(
-        (
-            "quoted-figure-discrepancies",
-            off == expected_off,
-            "quoted depths that fail their own inequality: %s" % (off,),
-        )
+    return (
+        "quoted-figure-discrepancies",
+        off == expected_off,
+        "quoted depths that fail their own inequality: %s" % (off,),
     )
-    return checks
 
 
-COMPLEXITY_SIZES = (4, 10, 20, 40)
-
-
-def complexity_means(seeds: int, sizes: tuple = COMPLEXITY_SIZES) -> dict[int, float]:
-    means = {}
-    for n in sizes:
-        scn = complexity_scenario(n)
-        total = 0.0
-        for seed in range(1, seeds + 1):
-            total += run_scenario(scn, seed).record["msgs_per_binary_instance"]
-        means[n] = total / seeds
-    return means
-
-
-def suite_complexity(seeds: int = 20) -> list[tuple[str, bool, str]]:
-    means = complexity_means(seeds)
+def check_complexity(means: dict[int, float]) -> Check:
+    """Per-instance messages grow at most cubically, 40/20 in [4, 12]."""
     sizes = sorted(means)
     cubic_ok = all(
         means[b] / means[a] <= (b / a) ** 3 for a, b in zip(sizes, sizes[1:])
     )
     ratio = means[40] / means[20]
-    in_band = 4 <= ratio <= 12
-    detail = "per-instance means %s; 40/20 ratio %.2f" % (
-        {n: round(m, 1) for n, m in means.items()},
-        ratio,
+    return (
+        "message-growth-cubic-band",
+        cubic_ok and 4 <= ratio <= 12,
+        "per-instance means %s; 40/20 ratio %.2f"
+        % ({n: round(m, 1) for n, m in means.items()}, ratio),
     )
-    return [
-        ("message-growth-cubic-band", cubic_ok and in_band, detail),
+
+
+def suite_agreement(seeds: int) -> list[Check]:
+    return [check_frontier(), check_agreement(agreement_records(seeds))]
+
+
+def suite_attack(seeds: int) -> list[Check]:
+    spam, forks = spam_records(seeds), fork_records(seeds)
+    attack_runs = spam + [r for kind in FORK_KINDS for r in forks[kind]]
+    return [check_spam(spam), check_branch_bound(attack_runs)] + [
+        check_accountability(kind, forks[kind]) for kind in FORK_KINDS
     ]
+
+
+def suite_membership(seeds: int) -> list[Check]:
+    return [check_llb(llb_records(seeds))]
+
+
+def suite_zeroloss() -> list[Check]:
+    return [check_blockdepth(), check_flux_sign_flip(), check_quoted_discrepancies()]
+
+
+def suite_complexity(seeds: int) -> list[Check]:
+    return [check_complexity(complexity_means(seeds))]
 
 
 SUITES = {
@@ -616,6 +694,13 @@ def _fraction(text: str) -> Fraction:
     return as_fraction(text)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %d" % value)
+    return value
+
+
 def _int_range(text: str) -> range:
     lo, _, hi = text.partition("..")
     return range(int(lo), int(hi) + 1)
@@ -650,7 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
     suite = sub.add_parser("suite", help="run a named check suite")
     suite.add_argument("name", choices=sorted(SUITES))
     suite.add_argument(
-        "--seeds", type=int, default=None, help="seeds per scenario (suite default)"
+        "--seeds", type=_positive_int, default=None,
+        help="seeds per scenario (suite default)",
     )
     suite.set_defaults(func=cmd_suite)
 

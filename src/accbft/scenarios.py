@@ -158,10 +158,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if problems:
         raise ScenarioError(problems)
     kwargs = {k: data[k] for k in data if k in known}
-    if "seeds" in kwargs:
+    # malformed shapes pass through as given, for validate_scenario to report
+    if isinstance(kwargs.get("seeds"), list):
         kwargs["seeds"] = tuple(kwargs["seeds"])
-    if "partitions" in kwargs and kwargs["partitions"] is not None:
-        kwargs["partitions"] = tuple(tuple(p) for p in kwargs["partitions"])
+    parts = kwargs.get("partitions")
+    if isinstance(parts, list) and all(isinstance(p, list) for p in parts):
+        kwargs["partitions"] = tuple(tuple(p) for p in parts)
     scn = Scenario(**kwargs)
     problems = validate_scenario(scn)
     if problems:
@@ -180,26 +182,41 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(raw)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_seq(v) -> bool:
+    return isinstance(v, (list, tuple))
+
+
 def validate_scenario(scn: Scenario) -> list[str]:
     bad = []
     n = scn.n
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         bad.append("n: must be a positive integer")
         return bad
+    if not isinstance(scn.name, str) or not scn.name:
+        bad.append("name: must be a non-empty string")
     for name in ("t", "d", "q"):
         v = getattr(scn, name)
-        if not isinstance(v, int) or v < 0:
+        if not _is_int(v) or v < 0:
             bad.append("%s: must be a non-negative integer" % name)
+    d = scn.d if _is_int(scn.d) else 0
     if not bad and scn.t + scn.d + scn.q > n:
         bad.append("t+d+q: fault counts exceed n")
     h0 = scn.h0 if scn.h0 is not None else default_h0(n)
-    if not isinstance(h0, int) or not (n // 2 < h0 <= n):
+    if not _is_int(h0) or not (n // 2 < h0 <= n):
         bad.append("h0: must satisfy n/2 < h0 <= n")
     hp = scn.h_prime0
     if isinstance(hp, str):
         if hp not in H_PRIME_PRESETS:
             bad.append("h_prime0: unknown preset %r" % hp)
-    elif not (isinstance(hp, int) and n // 2 < hp <= n):
+    elif not (_is_int(hp) and n // 2 < hp <= n):
         bad.append("h_prime0: must be a preset name or satisfy n/2 < h' <= n")
     if scn.mode not in (MODE_MIN_INDEX, MODE_SUPERBLOCK):
         bad.append("mode: must be %r or %r" % (MODE_MIN_INDEX, MODE_SUPERBLOCK))
@@ -207,19 +224,19 @@ def validate_scenario(scn: Scenario) -> list[str]:
         bad.append("payload: must be one of %s" % (PAYLOAD_KINDS,))
     for name in ("delta_ms", "horizon_ms"):
         v = getattr(scn, name)
-        if not isinstance(v, int) or v < 1:
+        if not _is_int(v) or v < 1:
             bad.append("%s: must be a positive integer (milliseconds)" % name)
-    if not isinstance(scn.gst_ms, int) or scn.gst_ms < 0:
+    if not _is_int(scn.gst_ms) or scn.gst_ms < 0:
         bad.append("gst_ms: must be a non-negative integer (milliseconds)")
-    elif isinstance(scn.horizon_ms, int) and scn.horizon_ms <= scn.gst_ms:
+    elif _is_int(scn.horizon_ms) and scn.horizon_ms <= scn.gst_ms:
         bad.append("horizon_ms: must exceed gst_ms")
-    if not isinstance(scn.heights, int) or scn.heights < 1:
+    if not _is_int(scn.heights) or scn.heights < 1:
         bad.append("heights: must be a positive integer")
-    if not scn.seeds or not all(isinstance(s, int) for s in scn.seeds):
+    if not _is_seq(scn.seeds) or not scn.seeds or not all(map(_is_int, scn.seeds)):
         bad.append("seeds: must be a non-empty list of integers")
-    if not isinstance(scn.pool, int) or scn.pool < 0:
+    if not _is_int(scn.pool) or scn.pool < 0:
         bad.append("pool: must be a non-negative integer")
-    if not isinstance(scn.txs_per_block, int) or scn.txs_per_block < 0:
+    if not _is_int(scn.txs_per_block) or scn.txs_per_block < 0:
         bad.append("txs_per_block: must be a non-negative integer")
     bad.extend(_check_delay("delay", scn.delay))
     if scn.cross_delay is not None:
@@ -232,12 +249,18 @@ def validate_scenario(scn: Scenario) -> list[str]:
         else:
             if not (0 <= a <= Fraction(2, 3)):
                 bad.append("alpha: must lie in [0, 2/3]")
-    deceitful = set(range(1, scn.d + 1))
-    if scn.partitions is not None:
+    for key in ("attack", "benign", "byzantine", "deposit"):
+        if getattr(scn, key) is not None and not isinstance(getattr(scn, key), dict):
+            bad.append("%s: must be an object" % key)
+    deceitful = set(range(1, d + 1))
+    parts = scn.partitions
+    if parts is not None and not (_is_seq(parts) and all(map(_is_seq, parts))):
+        bad.append("partitions: must be a list of pid lists")
+    elif parts is not None:
         seen: set[int] = set()
-        for i, part in enumerate(scn.partitions):
+        for i, part in enumerate(parts):
             for pid in part:
-                if not isinstance(pid, int) or not (1 <= pid <= n):
+                if not _is_int(pid) or not (1 <= pid <= n):
                     bad.append("partitions[%d]: pid %r out of range" % (i, pid))
                 elif pid in deceitful:
                     bad.append(
@@ -247,45 +270,54 @@ def validate_scenario(scn: Scenario) -> list[str]:
                 elif pid in seen:
                     bad.append("partitions[%d]: pid %d listed twice" % (i, pid))
                 seen.add(pid)
-    if scn.attack is not None:
+    if isinstance(scn.attack, dict):
         kind = scn.attack.get("kind")
         if kind not in ATTACK_KINDS:
             bad.append("attack.kind: must be one of %s" % (ATTACK_KINDS,))
-        if scn.d < 1:
+        if d < 1:
             bad.append("attack: requires d >= 1")
-        if not scn.partitions or len(scn.partitions) < 2:
+        if not _is_seq(parts) or len(parts) < 2:
             bad.append("attack: requires >= 2 partitions to play against")
         targets = scn.attack.get("targets", 0)
-        if not isinstance(targets, int) or not (0 <= targets <= scn.d):
+        if not _is_int(targets) or not (0 <= targets <= d):
             bad.append("attack.targets: must be an integer in [0, d]")
         elif kind == "binary-fork" and targets < 1:
             bad.append("attack.targets: binary-fork needs at least one target")
         retire = scn.attack.get("retire_ms")
-        if retire is not None and (not isinstance(retire, int) or retire < 0):
+        if retire is not None and (not _is_int(retire) or retire < 0):
             bad.append("attack.retire_ms: must be a non-negative integer")
         for key in sorted(set(scn.attack) - {"kind", "targets", "retire_ms"}):
             bad.append("attack.%s: unknown field" % key)
-    if scn.benign is not None:
+    if isinstance(scn.benign, dict):
         kind = scn.benign.get("kind")
         if kind not in BENIGN_KINDS:
             bad.append("benign.kind: must be one of %s" % (BENIGN_KINDS,))
         crash = scn.benign.get("crash_at_ms", 0)
-        if not isinstance(crash, int) or crash < 0:
+        if not _is_int(crash) or crash < 0:
             bad.append("benign.crash_at_ms: must be a non-negative integer")
         omit = scn.benign.get("omit_p", 0.0)
-        if not isinstance(omit, (int, float)) or not (0 <= omit <= 1):
+        if not _is_num(omit) or not (0 <= omit <= 1):
             bad.append("benign.omit_p: must lie in [0, 1]")
-    if scn.byzantine is not None:
+    if isinstance(scn.byzantine, dict):
         g = scn.byzantine.get("garble_p", 0.0)
         p = scn.byzantine.get("drop_p", 0.0)
-        ok = all(isinstance(x, (int, float)) and 0 <= x <= 1 for x in (g, p))
+        ok = all(_is_num(x) and 0 <= x <= 1 for x in (g, p))
         if not ok or g + p > 1:
             bad.append("byzantine: garble_p/drop_p must lie in [0,1] and sum to <= 1")
-    if scn.deposit is not None:
-        if not isinstance(scn.deposit.get("gain_cap", 0), int):
-            bad.append("deposit.gain_cap: must be an integer (coin units)")
-        if not isinstance(scn.deposit.get("blockdepth", 0), int):
-            bad.append("deposit.blockdepth: must be an integer (blocks)")
+    if isinstance(scn.deposit, dict):
+        for key, unit in (("gain_cap", "coin units"), ("blockdepth", "blocks"),
+                          ("balance", "coin units")):
+            v = scn.deposit.get(key, 0)
+            if not _is_int(v) or v < 0:
+                bad.append(
+                    "deposit.%s: must be a non-negative integer (%s)" % (key, unit)
+                )
+        try:
+            factor_ok = as_fraction(scn.deposit.get("factor", "0.1")) >= 0
+        except (ValueError, ZeroDivisionError, TypeError):
+            factor_ok = False
+        if not factor_ok:
+            bad.append("deposit.factor: must be a non-negative ratio")
     return bad
 
 
@@ -295,14 +327,31 @@ def _check_delay(label: str, spec) -> list[str]:
     model = spec.get("model", "uniform")
     if model == "uniform":
         lo, hi = spec.get("lo_ms"), spec.get("hi_ms")
-        if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi):
+        if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
             return ["%s: uniform needs integers 0 <= lo_ms <= hi_ms" % label]
     elif model == "gamma":
-        if spec.get("scale_ms", 1) <= 0 or spec.get("shape", 2.5) <= 0:
+        scale, shape = spec.get("scale_ms"), spec.get("shape", 2.5)
+        if not (_is_num(scale) and _is_num(shape) and scale > 0 and shape > 0):
             return ["%s: gamma needs positive shape and scale_ms" % label]
     elif model == "trace":
-        if not spec.get("table") or not spec.get("regions"):
+        table, regions = spec.get("table"), spec.get("regions")
+        if not table or not regions:
             return ["%s: trace needs table and regions" % label]
+        if not _is_seq(regions) or not all(isinstance(r, str) for r in regions):
+            return ["%s.regions: must be a list of region names" % label]
+        if not _is_seq(table) or not all(
+            _is_seq(row) and len(row) == 3 and isinstance(row[0], str)
+            and isinstance(row[1], str) and _is_num(row[2]) and row[2] >= 0
+            for row in table
+        ):
+            return ["%s.table: rows must be [region, region, non-negative ms]" % label]
+        pairs = {(a, b) for a, b, _ in table} | {(b, a) for a, b, _ in table}
+        missing = sorted({(a, b) for a in regions for b in regions} - pairs)
+        if missing:
+            return ["%s.table: no latency for region pair %s" % (label, missing[0])]
+        jitter = spec.get("jitter_ms", 1)
+        if not _is_int(jitter) or jitter < 0:
+            return ["%s.jitter_ms: must be a non-negative integer" % label]
     else:
         return ["%s.model: unknown model %r" % (label, model)]
     return []

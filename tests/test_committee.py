@@ -9,8 +9,6 @@ from accbft.committee import (
     FaultProfile,
     consensus_tolerated,
     default_h0,
-    default_membership_h0,
-    eventual_consensus_tolerated,
     threshold_tolerated,
     update_committee,
 )
@@ -63,20 +61,9 @@ def test_threshold_must_be_a_majority(h):
         threshold_tolerated(FaultProfile(n=9, t=0, d=0, q=0), h)
 
 
-def test_eventual_consensus_is_weaker():
-    p = FaultProfile(n=9, t=0, d=5, q=0)
-    assert eventual_consensus_tolerated(p, 6)
-    assert threshold_tolerated(p, 6) == (False, True)
-
-
 @pytest.mark.parametrize("n,expected", [(4, 3), (7, 5), (9, 6), (10, 7), (12, 8)])
 def test_default_h0(n, expected):
     assert default_h0(n) == expected
-
-
-@pytest.mark.parametrize("n,expected", [(4, 4), (9, 7), (10, 8), (12, 10)])
-def test_default_membership_h0(n, expected):
-    assert default_membership_h0(n) == expected
 
 
 # -- the committee itself ----------------------------------------------------
@@ -109,23 +96,6 @@ def test_coordinator_rotates_over_initial_list(registry):
     # an excluded member keeps its rotation slot; the round just loses its
     # coordinator help
     assert c.coordinator(2) == 1
-
-
-def test_below_majority_flag(registry):
-    c = Committee(initial=(1, 2, 3, 4), h0=3)
-    assert not c.below_majority()
-    update_committee(c, [fraud_proof(registry, 1)], registry)
-    assert not c.below_majority()  # h=2 over 3 members still a majority
-    update_committee(c, [fraud_proof(registry, 2)], registry)
-    assert c.below_majority()
-
-
-def test_clone_is_independent(registry):
-    c = Committee(initial=(1, 2, 3, 4), h0=3)
-    twin = c.clone()
-    update_committee(c, [fraud_proof(registry, 1)], registry)
-    assert twin.d_r == 0 and twin.members == [1, 2, 3, 4]
-    assert c.d_r == 1
 
 
 def test_update_committee_dedups_by_proof_key(registry):

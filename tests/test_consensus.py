@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from accbft.consensus import (
-    EcSequence,
     MessageStore,
     confirm_status,
     decode_value_set,
@@ -129,37 +128,6 @@ def test_certified_conflict_overrides_confirmation_count():
         confirm_status(9, 6, Fraction(4, 9), 9, conflicting_certificate=True)
         == "disagreement-detected"
     )
-
-
-# -- epoch-chained repairs --------------------------------------------------------
-
-
-def test_ec_sequence_projects_lowest_voted_slot():
-    seq = EcSequence(values={1: b"x", 2: b"m"}, bits={1: 0, 2: 1})
-    assert seq.propose_ec(0) == (b"m", [])
-    assert seq.epoch == 0
-
-
-def test_ec_sequence_value_fork_repairs_to_smaller():
-    seq = EcSequence(values={2: b"m"}, bits={2: 1})
-    seq.observe_value_fork(2, b"a")
-    assert seq.propose_ec(0) == (b"a", [("value", 2, b"a")])
-    seq.observe_value_fork(2, b"z")  # larger value: nothing to repair
-    assert seq.propose_ec(1) == (b"a", [])
-
-
-def test_ec_sequence_bit_fork_forces_one():
-    seq = EcSequence(values={1: b"x", 2: b"m"}, bits={1: 0, 2: 1})
-    seq.observe_bit_fork(1)
-    assert seq.propose_ec(0) == (b"x", [("bit", 1, 1)])
-    seq.observe_bit_fork(1)  # already 1
-    assert seq.propose_ec(1) == (b"x", [])
-
-
-def test_ec_sequence_insists_on_epoch_order():
-    seq = EcSequence(values={}, bits={})
-    with pytest.raises(AssertionError, match="epochs respond in order"):
-        seq.propose_ec(3)
 
 
 # -- the core, driven over a live micro-network -----------------------------------

@@ -1,9 +1,11 @@
 """Command-line harness: seed parsing, CSV output, and exit codes."""
 
+import copy
 import json
 
 import pytest
 
+from accbft import harness
 from accbft.committee import FaultProfile, threshold_tolerated
 from accbft.harness import (
     CSV_COLUMNS,
@@ -19,7 +21,13 @@ from accbft.harness import (
     record_to_row,
     write_csv,
 )
-from accbft.scenarios import Scenario, clean_scenario, fork_scenario
+from accbft.scenarios import (
+    Scenario,
+    clean_scenario,
+    fork_scenario,
+    run_scenario,
+    spam_scenario,
+)
 
 EXACT_FLUX = "1087297357828858466646322531/1000000000000000000000000000000"
 
@@ -209,6 +217,41 @@ def test_run_rejects_broken_scenarios(capsys, tmp_path):
     assert "required field missing" in err
 
 
+@pytest.mark.parametrize(
+    ("fields", "diagnostic"),
+    [
+        ({"attack": []}, "attack: must be an object"),
+        ({"benign": "crash"}, "benign: must be an object"),
+        ({"byzantine": 1}, "byzantine: must be an object"),
+        ({"partitions": 5}, "partitions: must be a list of pid lists"),
+        ({"partitions": [1, 2]}, "partitions: must be a list of pid lists"),
+        ({"seeds": 5}, "seeds: must be a non-empty list of integers"),
+        ({"delay": {"model": "gamma", "scale_ms": "5"}}, "delay: gamma needs"),
+        ({"payload": "ledger", "deposit": {"factor": "abc"}}, "deposit.factor:"),
+        (
+            {"delay": {"model": "trace", "table": [[1]], "regions": ["eu"]}},
+            "delay.table: rows must be",
+        ),
+        (
+            {"delay": {"model": "trace", "table": [["eu", "us", 5]],
+                       "regions": ["eu", "us"]}},
+            "delay.table: no latency for region pair",
+        ),
+        ({"n": True}, "n: must be a positive integer"),
+    ],
+)
+def test_run_rejects_hostile_scenario_fields(capsys, tmp_path, fields, diagnostic):
+    raw = {**clean_scenario(4).to_dict(), **fields}
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(raw))
+    code, _, err = run_cli(
+        capsys, "run", "--scenario", str(path), "--outdir", str(tmp_path)
+    )
+    assert code == EX_SCENARIO
+    assert err.startswith("scenario error:")
+    assert diagnostic in err and "Traceback" not in err
+
+
 def test_run_reports_invariant_violations_with_exit_3(capsys, tmp_path):
     # Deceitful majority coalition, no standby pool: the survivors detect the
     # fraud, run out of replacements, and the run must say so loudly.
@@ -242,3 +285,159 @@ def test_suite_agreement_small_batch(capsys):
     code, out, _ = run_cli(capsys, "suite", "agreement", "--seeds", "2")
     assert code == EX_OK
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+
+def test_suite_attack_small_batch(capsys):
+    code, out, _ = run_cli(capsys, "suite", "attack", "--seeds", "1")
+    assert code == EX_OK
+    lines = out.strip().splitlines()
+    assert len(lines) == 4 and all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("complexity", "--seeds", "0"),
+        ("agreement", "--seeds", "0"),
+        ("membership", "--seeds", "0"),
+        ("attack", "--seeds", "-3"),
+        ("attack", "--seeds", "many"),
+    ],
+)
+def test_suite_rejects_non_positive_seed_counts(capsys, argv):
+    code, out, err = run_cli(capsys, "suite", *argv)
+    assert code == EX_USAGE
+    assert out == ""
+    assert "--seeds" in err and "Traceback" not in err
+
+
+# -- check functions ----------------------------------------------------------
+#
+# Each check must be able to fail: one doctored field flips a passing batch.
+
+
+@pytest.fixture(scope="module")
+def spam_record():
+    return run_scenario(spam_scenario(), 1).record
+
+
+@pytest.fixture(scope="module")
+def fork_record():
+    record = run_scenario(fork_scenario("binary-fork"), 1).record
+    assert record["disagreements"]
+    return record
+
+
+@pytest.fixture
+def llb_like(clean_record):
+    """A clean record reshaped to a converged long-lived run."""
+    record = copy.deepcopy(clean_record)
+    record.update(
+        agreed_tail=100,
+        changes=[{}] * 3,
+        membership_changes={pid: 3 for pid in record["membership_changes"]},
+        ratio_trajectory=[[0, "5/9"], [10, "1/3"], [20, "0"]],
+    )
+    return record
+
+
+def doctored(record, **fields):
+    record = copy.deepcopy(record)
+    record.update(fields)
+    return record
+
+
+def test_checks_pass_on_healthy_records(clean_record, spam_record, fork_record, llb_like):
+    assert harness.check_agreement([clean_record])[1]
+    assert harness.check_spam([spam_record])[1]
+    assert harness.check_accountability("binary-fork", [fork_record])[1]
+    assert harness.check_branch_bound([spam_record, fork_record])[1]
+    assert harness.check_llb([llb_like])[1]
+    assert harness.check_complexity({4: 1.0, 10: 10.0, 20: 60.0, 40: 480.0})[1]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"disagreements": 1},
+        {"failures": {"2": "pool exhausted"}},
+        {"heights_done": {"1": 1, "2": 2, "3": 2, "4": 2}},
+        {"heights_done": {}},
+    ],
+)
+def test_agreement_check_can_fail(clean_record, fields):
+    assert harness.check_agreement([doctored(clean_record, **fields)])[1] is False
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"committee_excluded": {"3": [1, 2], "4": [1]}},
+        {"committee_excluded": {"3": [], "4": [1]}},
+        {"failures": {"3": "pool exhausted"}},
+        {"phases": {"2": "done", "3": "running", "4": "done"}},
+        {"heights_done": {"2": 1, "3": 1, "4": 1}},
+        {"heights_target": 2},
+    ],
+)
+def test_spam_check_can_fail(spam_record, fields):
+    assert harness.check_spam([doctored(spam_record, **fields)])[1] is False
+
+
+def test_accountability_check_can_fail(fork_record):
+    need = fork_record["fraud_threshold"]
+    short = dict(fork_record["pof_counts"], **{str(fork_record["honest"][0]): need - 1})
+    unforked = doctored(fork_record, disagreements=0)
+    for batch in (
+        [doctored(fork_record, pof_counts=short)],
+        [doctored(fork_record, fraud_threshold=need - 1)],
+        [doctored(fork_record, failures={"6": "pool exhausted"})],
+        [doctored(unforked, failures={"6": "pool exhausted"})],
+        [fork_record, unforked, unforked],
+    ):
+        assert harness.check_accountability("binary-fork", batch)[1] is False
+    # exactly half the seeds forking is enough
+    assert harness.check_accountability("binary-fork", [fork_record, unforked])[1]
+
+
+def test_branch_bound_check_can_fail(fork_record, monkeypatch):
+    over = doctored(fork_record, branches_max=fork_record["branches_max"] + 3)
+    assert harness.check_branch_bound([over])[1] is False
+    assert harness.partition_oracle(9, 6, 5) == 4
+    monkeypatch.setattr(harness, "max_branches", lambda n, h, dt: 1)
+    assert harness.check_branch_bound([])[1] is False
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"failures": {"6": "pool exhausted"}},
+        {"changes": [{}] * 4},
+        {"membership_changes": {"1": 4, "2": 3, "3": 3, "4": 3}},
+        {"agreed_tail": 99},
+        {"heights_target": 3},
+        {"ratio_trajectory": [[0, "1/3"], [10, "5/9"]]},
+    ],
+)
+def test_llb_check_can_fail(llb_like, fields):
+    assert harness.check_llb([doctored(llb_like, **fields)])[1] is False
+
+
+@pytest.mark.parametrize(
+    "means",
+    [
+        {4: 1.0, 10: 20.0, 20: 60.0, 40: 480.0},   # 4 -> 10 beyond cubic
+        {4: 1.0, 10: 10.0, 20: 60.0, 40: 200.0},   # 40/20 below the band
+    ],
+)
+def test_complexity_check_can_fail(means):
+    assert harness.check_complexity(means)[1] is False
+
+
+def test_closed_form_checks_can_fail(monkeypatch):
+    assert all(ok for _, ok, _ in harness.suite_zeroloss())
+    assert harness.check_frontier()[1]
+    monkeypatch.setattr(harness, "conservative_branches", lambda ratio: 3)
+    assert harness.check_blockdepth()[1] is False
+    monkeypatch.setattr(harness, "consensus_tolerated", lambda profile: True)
+    assert harness.check_frontier()[1] is False
