@@ -567,8 +567,14 @@ def check_quoted_discrepancies() -> Check:
 
 
 def check_complexity(means: dict[int, float]) -> Check:
-    """Per-instance messages grow at most cubically, 40/20 in [4, 12]."""
+    """Means at n = 4, 10, 20, 40 grow at most cubically, 40/20 in [4, 12]."""
     sizes = sorted(means)
+    if sizes != [4, 10, 20, 40]:
+        return (
+            "message-growth-cubic-band",
+            False,
+            "sizes %s, expected [4, 10, 20, 40]" % (sizes,),
+        )
     cubic_ok = all(
         means[b] / means[a] <= (b / a) ** 3 for a, b in zip(sizes, sizes[1:])
     )

@@ -428,6 +428,7 @@ def test_llb_check_can_fail(llb_like, fields):
     [
         {4: 1.0, 10: 20.0, 20: 60.0, 40: 480.0},   # 4 -> 10 beyond cubic
         {4: 1.0, 10: 10.0, 20: 60.0, 40: 200.0},   # 40/20 below the band
+        {20: 60.0, 40: 480.0},                     # n = 4 and 10 missing
     ],
 )
 def test_complexity_check_can_fail(means):
