@@ -31,10 +31,13 @@ class ZeroLossParams:
     blockdepth: int        # w: blocks a deposit is retained before refund
 
     def __post_init__(self):
-        assert self.branches >= 1
-        assert as_fraction(self.deposit_factor) >= 0
-        assert 0 <= as_fraction(self.attack_success) < 1
-        assert self.blockdepth >= 0
+        if not (
+            self.branches >= 1
+            and as_fraction(self.deposit_factor) >= 0
+            and 0 <= as_fraction(self.attack_success) < 1
+            and self.blockdepth >= 0
+        ):
+            raise ValueError("flux needs a >= 1, b >= 0, 0 <= rho < 1 and w >= 0")
 
 
 def max_branches(n: int, h: int, dt: int) -> int:
@@ -89,7 +92,8 @@ def min_blockdepth(branches: int, deposit_factor: Ratio, attack_success: Ratio) 
     Seeded from the closed form w >= log(b / (a-1+b)) / log(rho) - 1, then
     settled by exact integer search so float logs can never shift the answer.
     """
-    assert branches >= 2
+    if branches < 2:
+        raise ValueError("blockdepth needs at least 2 branches")
     b = as_fraction(deposit_factor)
     rho = as_fraction(attack_success)
     if rho == 0:

@@ -34,12 +34,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .committee import Committee, mask_members
-from .crypto import (
-    Kind,
-    SignedMessage,
-    pick_certificate,
-    msgset_payload,
-)
+from .crypto import Kind, SignedMessage, pick_certificate, quorum_valid
 
 
 _TALLIED = frozenset({Kind.BVECHO, Kind.ECHO})
@@ -73,7 +68,6 @@ class RoundState:
         "sent_bvecho",
         "bvready_sent",
         "bin_vals",
-        "delivered_order",
         "coord_done",
         "aux",
         "echo_sent",
@@ -86,7 +80,6 @@ class RoundState:
         self.sent_bvecho: set[int] = set()
         self.bvready_sent: set[int] = set()
         self.bin_vals: dict[int, tuple] = {}
-        self.delivered_order: list[int] = []
         self.coord_done = False
         self.aux: Optional[frozenset] = None
         self.echo_sent = False
@@ -109,7 +102,6 @@ class BinaryInstance:
         self.rounds: dict[int, RoundState] = {}
         self.decided: Optional[tuple[int, int]] = None  # (value, round)
         self.decision_cert: tuple = ()
-        self.decided_at: Optional[int] = None
         self._decision_relayed = False
         # the current round's tally (see _counts) and the d_r it was counted
         # under; none until the first pump of a round, dropped at decision
@@ -183,24 +175,14 @@ class BinaryInstance:
 
     def _cert_valid(self, cert: tuple, kind: int, value: int, r: int, phase: int) -> bool:
         """A certificate is h(d_r) distinct active signers over one slot+value."""
-        if not cert:
-            return False
         want = enc_bits({value}) if kind == Kind.ECHO else enc_bit(value)
-        signers = set()
-        for m in cert:
-            if (
-                m.kind != kind
-                or m.instance != self.iid
-                or m.round != r
-                or m.phase != phase
-                or m.payload != want
-            ):
-                return False
-            if not self.core.verify(m):
-                return False
-            if self.committee.is_active(m.signer):
-                signers.add(m.signer)
-        return len(signers) >= self.committee.h
+        return (
+            bool(cert)
+            and cert[0].vote() == (kind, self.iid, r, phase, want)
+            and quorum_valid(
+                self.core.registry, cert, self.committee.h, self.committee.is_active
+            )
+        )
 
     def _bvecho_admissible(self, m: SignedMessage) -> bool:
         """Rule check: post-round-1 estimates need a prior-round certificate,
@@ -224,9 +206,8 @@ class BinaryInstance:
     def _arm(self, phase: int) -> None:
         rs = self._rs(self.round)
         rs.epoch[phase] += 1
-        delay = int(self.cfg.delta * (self.cfg.backoff ** rs.fires[phase]))
-        self.core.arm_timer(
-            ("bin", self.iid, self.round, phase, rs.epoch[phase]), delay
+        self.core.arm_retry(
+            ("bin", self.iid, self.round, phase, rs.epoch[phase]), rs.fires[phase]
         )
 
     # ------------------------------------------------------------- lifecycle
@@ -294,7 +275,6 @@ class BinaryInstance:
         if v in rs.bin_vals:
             return
         rs.bin_vals[v] = cert
-        rs.delivered_order.append(v)
         if (
             not rs.coord_done
             and self.committee.coordinator(r) == self.core.pid
@@ -413,7 +393,6 @@ class BinaryInstance:
     def _settle(self, v: int, r: int, cert: tuple) -> None:
         self.decided = (v, r)
         self.decision_cert = tuple(cert)
-        self.decided_at = self.core.now()
         self._tally = None
         # invalidate timers
         rs = self.rounds.get(self.round)
@@ -437,19 +416,8 @@ class BinaryInstance:
         if self.decided is not None or self.round != r or self.phase != phase:
             return
         # stuck: share everything held for this phase and all future ones
-        bundle = self.core.store.instance_msgs(
-            self.iid, min_round=r, min_phase=phase
-        )
-        if bundle:
-            env = self.core.sign(
-                Kind.MSGSET,
-                self.iid,
-                r,
-                phase,
-                msgset_payload(bundle),
-                tuple(bundle),
-            )
-            self.core.emit(env, self.committee, store_own=False)
+        bundle = self.core.store.instance_msgs(self.iid, min_round=r, min_phase=phase)
+        self.core.share(self.iid, r, phase, bundle, self.committee)
         self._arm(phase)
 
     # ------------------------------------------------------------- exclusion

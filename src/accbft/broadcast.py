@@ -14,20 +14,18 @@ from __future__ import annotations
 from typing import Optional
 
 from .committee import Committee, mask_members
-from .crypto import Kind, SignedMessage, msgset_payload
+from .crypto import Kind, SignedMessage, quorum_valid
 
 
 class BroadcastInstance:
-    def __init__(self, core, committee: Committee, iid, cfg, source: int):
+    def __init__(self, core, committee: Committee, iid, source: int):
         self.core = core
         self.committee = committee
         self.iid = iid
-        self.cfg = cfg
         self.source = source
         self.echoed = False
         self.ready_sent = False
         self.delivered: Optional[bytes] = None
-        self.delivered_at: Optional[int] = None
         self.epoch = 0
         self.fires = 0
         self.cancelled = False
@@ -66,8 +64,7 @@ class BroadcastInstance:
 
     def _arm(self) -> None:
         self.epoch += 1
-        delay = int(self.cfg.delta * (self.cfg.backoff ** self.fires))
-        self.core.arm_timer(("rb", self.iid, self.epoch), delay)
+        self.core.arm_retry(("rb", self.iid, self.epoch), self.fires)
 
     # -------------------------------------------------------------- handlers
 
@@ -87,31 +84,21 @@ class BroadcastInstance:
         elif m.kind == Kind.READY:
             self._on_ready(m)
 
-    def _cert_valid(self, cert: tuple, value: bytes) -> bool:
-        if not cert:
-            return False
-        signers = set()
-        for m in cert:
-            if (
-                m.kind != Kind.ECHO
-                or m.instance != self.iid
-                or m.payload != value
-            ):
-                return False
-            if not self.core.verify(m):
-                return False
-            if self.committee.is_active(m.signer):
-                signers.add(m.signer)
-        return len(signers) >= self.committee.h
-
     def _on_ready(self, m: SignedMessage) -> None:
         if self.delivered is not None:
             return
-        if not self._cert_valid(m.certificate, m.payload):
+        cert = m.certificate
+        if not (
+            cert
+            and cert[0].vote() == (Kind.ECHO, self.iid, 1, _ECHO_PHASE, m.payload)
+            and quorum_valid(
+                self.core.registry, cert, self.committee.h, self.committee.is_active
+            )
+        ):
             return
         if not self.ready_sent:
             self.ready_sent = True
-            self._emit(Kind.READY, m.payload, tuple(m.certificate))
+            self._emit(Kind.READY, m.payload, tuple(cert))
         self._deliver(m.payload)
 
     def tally(self, m: SignedMessage) -> None:
@@ -159,7 +146,6 @@ class BroadcastInstance:
         if self.delivered is not None:
             return
         self.delivered = value
-        self.delivered_at = self.core.now()
         self._echoes = None
         self.epoch += 1  # cancels pending timer
         self.core.rb_delivered(self.iid, self.source, value)
@@ -171,11 +157,7 @@ class BroadcastInstance:
             return
         self.fires += 1
         bundle = self.core.store.instance_msgs(self.iid, only_kinds=(Kind.INIT, Kind.ECHO))
-        if bundle:
-            env = self.core.sign(
-                Kind.MSGSET, self.iid, 1, 0, msgset_payload(bundle), tuple(bundle)
-            )
-            self.core.emit(env, self.committee, store_own=False)
+        self.core.share(self.iid, 1, 0, bundle, self.committee)
         self._arm()
 
     def recheck_and_reset(self) -> None:

@@ -12,11 +12,11 @@ crosses a partition is taken apart and checked against what we stored locally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .analysis import alpha_confirm_threshold
-from .binary import BinaryInstance, enc_bits, parity
+from .binary import BinaryInstance, parity
 from .broadcast import BroadcastInstance
 from .committee import Committee, FaultProfile, update_committee
 from .crypto import (
@@ -32,12 +32,15 @@ from .crypto import (
     _enc_u32,
     derive_pof,
     make_message,
+    msgset_payload,
     pofs_payload,
+    quorum_valid,
     verify_message,
 )
 
 _EMPTY: dict = {}
 _ENVELOPES = frozenset({Kind.MSGSET, Kind.POF_LIST})
+BACKOFF = 1.5  # retransmission timer multiplier per earlier fire
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,6 @@ class ProtoConfig:
 
     delta: int  # timer base in virtual microseconds
     profile: FaultProfile  # declared fault budget (feeds vote thresholds)
-    backoff: float = 1.5  # retransmission timer multiplier
     alpha: Optional[object] = None  # confirmation ratio; None skips confirms
 
 
@@ -177,7 +179,6 @@ class NodeCore:
         self._seen_bundles: set[bytes] = set()
         # hooks wired by the membership layer / scenario drivers
         self.on_new_pofs: Optional[Callable] = None  # (fresh_pofs, newly_excluded)
-        self.timer_hooks: dict[str, Callable] = {}
 
     # ---------------------------------------------------------------- signing
 
@@ -203,14 +204,20 @@ class NodeCore:
             tuple(pofs),
         )
 
-    def verify(self, msg: SignedMessage) -> bool:
-        return verify_message(self.registry, msg)
-
     def now(self) -> int:
         return self.net.now()
 
-    def arm_timer(self, key: tuple, delay: int) -> None:
-        self.net.arm_timer(key, delay)
+    def arm_retry(self, key: tuple, fires: int) -> None:
+        """Arm an instance's retransmission timer, backed off per earlier fire."""
+        self.net.arm_timer(key, int(self.cfg.delta * (BACKOFF**fires)))
+
+    def share(
+        self, iid: InstanceId, round: int, phase: int, held: list, committee: Committee
+    ) -> None:
+        """Send a MSGSET of the held messages (nothing if there are none)."""
+        if held:
+            env = self.sign(Kind.MSGSET, iid, round, phase, msgset_payload(held), held)
+            self.emit(env, committee, store_own=False)
 
     def emit(self, msg: SignedMessage, committee: Committee, store_own=True) -> None:
         if store_own:
@@ -297,20 +304,14 @@ class NodeCore:
             ctx.dispatch(m)
 
     def on_timer(self, key: tuple) -> None:
-        tag = key[0]
-        if tag in ("bin", "rb"):
-            iid = key[1]
-            ctx = self.context_for(iid)
-            if ctx is None or ctx.stopped:
-                return
-            table = ctx.bins if tag == "bin" else ctx.slots
-            inst = table.get(iid[4])
-            if inst is not None:
-                inst.on_timer(key)
+        """An instance timer: key is ("bin" | "rb", instance id, ...)."""
+        iid = key[1]
+        ctx = self.context_for(iid)
+        if ctx is None or ctx.stopped:
             return
-        hook = self.timer_hooks.get(tag)
-        if hook is not None:
-            hook(key)
+        inst = (ctx.bins if key[0] == "bin" else ctx.slots).get(iid[4])
+        if inst is not None:
+            inst.on_timer(key)
 
     # ---------------------------------------------------- fraud-proof intake
 
@@ -448,7 +449,7 @@ class MultiContext:
         for src in self.proposers:
             b_iid = (period, attempt, group, CHAN_BCAST, src)
             v_iid = (period, attempt, group, CHAN_BINARY, src)
-            self.slots[src] = BroadcastInstance(core, committee, b_iid, core.cfg, src)
+            self.slots[src] = BroadcastInstance(core, committee, b_iid, src)
             self.bins[src] = BinaryInstance(core, committee, v_iid, core.cfg)
         self.confirm_iid: InstanceId = (period, attempt, group, CHAN_CONFIRM, 0)
         self.delivered: dict[int, bytes] = {}
@@ -459,8 +460,6 @@ class MultiContext:
         self.decided_at: Optional[int] = None
         self.confirm_sent = False
         self.confirmation = "pending"
-        self.confirmed_at: Optional[int] = None
-        self.conflicting: list[SignedMessage] = []
         self.on_decided: Optional[Callable] = None
         self.on_status: Optional[Callable] = None
 
@@ -591,35 +590,22 @@ class MultiContext:
         self._eval_confirm()
 
     def _valid_foreign_cert(self, cert: tuple) -> bool:
-        """A structurally valid binary decision certificate for this context:
-        h distinct active signers echoing one parity-matching bit on one of
-        our vote instances."""
+        """A binary decision certificate for this context: h distinct active
+        signers echoing one parity-matching bit on one of our vote instances."""
         if not cert:
             return False
-        first = cert[0]
-        iid = first.instance
-        if iid[:3] != self.key or iid[3] != CHAN_BINARY or iid[4] not in self.bins:
-            return False
-        r = first.round
-        want = first.payload
+        kind, iid, r, phase, want = cert[0].vote()
         v = want[0] if len(want) == 1 else -1
-        if v not in (0, 1) or v != parity(r) or want != enc_bits({v}):
-            return False
-        signers = set()
-        for m in cert:
-            if (
-                m.kind != Kind.ECHO
-                or m.instance != iid
-                or m.round != r
-                or m.phase != 2
-                or m.payload != want
-            ):
-                return False
-            if not self.core.verify(m):
-                return False
-            if self.committee.is_active(m.signer):
-                signers.add(m.signer)
-        return len(signers) >= self.committee.h
+        return (
+            kind == Kind.ECHO
+            and phase == 2
+            and iid[:4] == self.key + (CHAN_BINARY,)
+            and iid[4] in self.bins
+            and v == parity(r)
+            and quorum_valid(
+                self.core.registry, cert, self.committee.h, self.committee.is_active
+            )
+        )
 
     def _eval_confirm(self) -> None:
         if (
@@ -638,15 +624,11 @@ class MultiContext:
                 count += 1
             elif self._valid_foreign_cert(m.certificate):
                 conflict = True
-                if m not in self.conflicting:
-                    self.conflicting.append(m)
         status = confirm_status(
             self.committee.n0, self.committee.h, self.alpha, count, conflict
         )
         if status != self.confirmation:
             self.confirmation = status
-            if status == "confirmed":
-                self.confirmed_at = self.core.now()
             if self.on_status is not None:
                 self.on_status(self, status)
 
@@ -665,18 +647,6 @@ class MultiContext:
         self._eval_confirm()
 
     # --------------------------------------------------------------- queries
-
-    @property
-    def state(self) -> str:
-        if self.stopped:
-            return "stopped"
-        if self.confirmation == "disagreement-detected":
-            return "disagreement"
-        if self.decision is None:
-            return "running"
-        if self.alpha is not None and self.confirmation == "confirmed":
-            return "confirmed"
-        return "decided"
 
     def decided_values(self) -> Optional[list[bytes]]:
         if self.decision is None:

@@ -14,7 +14,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class Kind(IntEnum):
@@ -102,6 +102,10 @@ class SignedMessage:
             parts.append(ie)
         return b"".join(parts)
 
+    def vote(self) -> tuple:
+        """What a quorum member backs: its slot less the signer, and its payload."""
+        return (self.kind, self.instance, self.round, self.phase, self.payload)
+
     def slot(self) -> tuple:
         key = self._slot
         if key is None:
@@ -184,9 +188,6 @@ class KeyRegistry:
                 self._priv[pid] = priv
                 self._pub[pid] = priv.public_key()
 
-    def known(self, pid: int) -> bool:
-        return pid in self._macs or pid in self._priv
-
     def sign(self, pid: int, data: bytes) -> bytes:
         if self.scheme == "blake2":
             return hashlib.blake2b(data, key=self._macs[pid], digest_size=16).digest()
@@ -240,6 +241,28 @@ def verify_message(registry: KeyRegistry, msg: SignedMessage) -> bool:
     if msg._sigok is None:
         msg._sigok = registry.verify(msg.signer, msg.core_encoding(), msg.signature)
     return msg._sigok
+
+
+def quorum_valid(
+    registry: KeyRegistry,
+    cert: Sequence[SignedMessage],
+    h: int,
+    active: Callable[[int], bool],
+) -> bool:
+    """The one certificate rule: a non-empty set of messages that all back the
+    first one's vote, every signature valid, and at least h distinct signers
+    for which active() holds.  Callers check that the vote is the one they
+    expect."""
+    if not cert:
+        return False
+    vote = cert[0].vote()
+    signers = set()
+    for m in cert:
+        if m.vote() != vote or not verify_message(registry, m):
+            return False
+        if active(m.signer):
+            signers.add(m.signer)
+    return len(signers) >= h
 
 
 # ---------------------------------------------------------------------------

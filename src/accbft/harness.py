@@ -31,7 +31,7 @@ from .analysis import (
     max_branches,
     min_blockdepth,
 )
-from .committee import FaultProfile, consensus_tolerated, threshold_tolerated
+from .committee import FaultProfile, _check_h, consensus_tolerated, threshold_tolerated
 from .scenarios import (
     Scenario,
     ScenarioError,
@@ -651,6 +651,8 @@ def _print_table(rows: list[dict]) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     h = args.h if args.h is not None else default_h0(args.n)
     try:
+        if args.table in ("branches", "confirm", "frontier"):
+            _check_h(args.n, h)
         if args.table == "blockdepth":
             if args.curve is not None:
                 _print_table(
@@ -661,6 +663,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     raise ValueError("blockdepth needs --a or --curve")
                 print(min_blockdepth(args.a, args.b, args.rho))
         elif args.table == "flux":
+            if args.a is None:
+                raise ValueError("flux needs --a")
             flux = deposit_flux(ZeroLossParams(args.a, args.b, args.rho, args.w))
             print(flux if args.exact else "%.12g" % float(flux))
         elif args.table == "branches":
@@ -709,6 +713,8 @@ def _positive_int(text: str) -> int:
 
 def _int_range(text: str) -> range:
     lo, _, hi = text.partition("..")
+    if int(hi) < int(lo):
+        raise argparse.ArgumentTypeError("range %s is reversed" % text)
     return range(int(lo), int(hi) + 1)
 
 

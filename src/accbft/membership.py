@@ -16,13 +16,12 @@ import math
 import struct
 from typing import Callable, Iterable, Optional
 
+from .binary import enc_bits, parity
 from .committee import Committee, update_committee
-from .consensus import (
-    MODE_SUPERBLOCK,
-    MultiContext,
-    NodeCore,
-)
+from .consensus import MODE_SUPERBLOCK, MultiContext, NodeCore
 from .crypto import (
+    CHAN_BINARY,
+    CHAN_CONFIRM,
     GROUP_EXCLUDE,
     GROUP_INCLUDE,
     GROUP_MAIN,
@@ -30,6 +29,7 @@ from .crypto import (
     Pof,
     decode_pof_list,
     encode_pof_list,
+    quorum_valid,
     verify_pof,
 )
 
@@ -80,6 +80,18 @@ def round_robin_choose(proposals: list[tuple[int, list[int]]], k: int) -> list[i
     return chosen
 
 
+def _block_vote(block: dict, vote: tuple) -> bool:
+    """Whether a certificate backing this vote can stand for the block: the
+    confirmation echo of its bytes, or the phase-2 echo of {1} that decided
+    one of its slots, in the block's own height and attempt."""
+    kind, iid, r, phase, payload = vote
+    main = (block["height"], block["attempt"], GROUP_MAIN)
+    if block.get("confirm"):
+        return vote == (Kind.ECHO, main + (CHAN_CONFIRM, 0), 1, 1, block["block"])
+    decided_one = (Kind.ECHO, main + (CHAN_BINARY,), 2, enc_bits({1}))
+    return (kind, iid[:4], phase, payload) == decided_one and parity(r) == 1
+
+
 def catch_up(registry, blocks: list[dict]) -> int:
     """Verify a chain copy block by block (certificates, not transactions).
 
@@ -88,27 +100,14 @@ def catch_up(registry, blocks: list[dict]) -> int:
     settled its first included slot.  Returns the number of verified blocks;
     raises ValueError at the first height whose certificate fails.
     """
-    from .crypto import Kind, verify_message
-
     for j, block in enumerate(blocks):
-        members = set(block["committee"])
-        h = block["h"]
         cert = block.get("confirm") or block.get("cert") or ()
-        signers = set()
-        ok = True
-        for m in cert:
-            if not verify_message(registry, m) or m.signer not in members:
-                ok = False
-                break
-            if block.get("confirm"):
-                if m.payload != block["block"]:
-                    ok = False
-                    break
-            elif m.kind != Kind.ECHO or m.phase != 2:
-                ok = False
-                break
-            signers.add(m.signer)
-        if not ok or len(signers) < h:
+        members = frozenset(block["committee"])
+        if not (
+            cert
+            and _block_vote(block, cert[0].vote())
+            and quorum_valid(registry, cert, block["h"], members.__contains__)
+        ):
             raise ValueError("certificate verification failed at height %d" % j)
     return len(blocks)
 
@@ -132,7 +131,6 @@ class AsmrProcess:
         proposal_fn: Optional[Callable[[int], Optional[bytes]]] = None,
         mode: str = MODE_SUPERBLOCK,
         alpha=None,
-        validator: Optional[Callable[[int, bytes], bool]] = None,
         max_heights: int = 1,
         joined: bool = True,
     ):
@@ -146,7 +144,8 @@ class AsmrProcess:
         self.proposal_fn = proposal_fn or (lambda height: None)
         self.mode = mode
         self.alpha = alpha
-        self.validator = validator
+        # block check for main contexts; World sets it for ledger runs
+        self.validator: Optional[Callable[[int, bytes], bool]] = None
         self.max_heights = max_heights
         self.joined = joined
 
@@ -166,7 +165,6 @@ class AsmrProcess:
         self._needed_inclusions = 0
         # wired by the scenario driver / ledger
         self.invite_hook: Optional[Callable] = None  # (chosen_ids, snapshot)
-        self.punish_hook: Optional[Callable] = None  # (excluded_ids)
         self.on_block: Optional[Callable] = None
 
     # -------------------------------------------------------------- lifecycle
@@ -325,8 +323,6 @@ class AsmrProcess:
                     accused.add(p.accused)
         excluded = sorted(accused & set(self.members))
         self.members = [m for m in self.members if m not in excluded]
-        if self.punish_hook is not None:
-            self.punish_hook(excluded)
         self._pending_exclusion = {
             "change": self.changes_done,
             "excluded": excluded,

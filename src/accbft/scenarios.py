@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .analysis import as_fraction
 from .committee import Committee, FaultProfile, default_h0
@@ -36,7 +36,7 @@ from .consensus import (
     ProtoConfig,
     decode_value_set,
 )
-from .crypto import CHAN_BCAST, CHAN_BINARY, CHAN_CONFIRM, KeyRegistry
+from .crypto import CHAN_BINARY, KeyRegistry
 from .ledger import (
     Block,
     DepositPolicy,
@@ -194,6 +194,11 @@ def _is_seq(v) -> bool:
     return isinstance(v, (list, tuple))
 
 
+def _unknown_keys(label: str, spec: dict, known: Iterable[str]) -> list[str]:
+    unknown = sorted(set(spec) - set(known), key=str)
+    return ["%s.%s: unknown field" % (label, key) for key in unknown]
+
+
 def validate_scenario(scn: Scenario) -> list[str]:
     bad = []
     n = scn.n
@@ -269,7 +274,8 @@ def validate_scenario(scn: Scenario) -> list[str]:
                     )
                 elif pid in seen:
                     bad.append("partitions[%d]: pid %d listed twice" % (i, pid))
-                seen.add(pid)
+                else:
+                    seen.add(pid)
     if isinstance(scn.attack, dict):
         kind = scn.attack.get("kind")
         if kind not in ATTACK_KINDS:
@@ -286,8 +292,8 @@ def validate_scenario(scn: Scenario) -> list[str]:
         retire = scn.attack.get("retire_ms")
         if retire is not None and (not _is_int(retire) or retire < 0):
             bad.append("attack.retire_ms: must be a non-negative integer")
-        for key in sorted(set(scn.attack) - {"kind", "targets", "retire_ms"}):
-            bad.append("attack.%s: unknown field" % key)
+        known = ("kind", "targets", "retire_ms")
+        bad.extend(_unknown_keys("attack", scn.attack, known))
     if isinstance(scn.benign, dict):
         kind = scn.benign.get("kind")
         if kind not in BENIGN_KINDS:
@@ -298,12 +304,15 @@ def validate_scenario(scn: Scenario) -> list[str]:
         omit = scn.benign.get("omit_p", 0.0)
         if not _is_num(omit) or not (0 <= omit <= 1):
             bad.append("benign.omit_p: must lie in [0, 1]")
+        known = ("kind", "crash_at_ms", "omit_p")
+        bad.extend(_unknown_keys("benign", scn.benign, known))
     if isinstance(scn.byzantine, dict):
         g = scn.byzantine.get("garble_p", 0.0)
         p = scn.byzantine.get("drop_p", 0.0)
         ok = all(_is_num(x) and 0 <= x <= 1 for x in (g, p))
         if not ok or g + p > 1:
             bad.append("byzantine: garble_p/drop_p must lie in [0,1] and sum to <= 1")
+        bad.extend(_unknown_keys("byzantine", scn.byzantine, ("garble_p", "drop_p")))
     if isinstance(scn.deposit, dict):
         for key, unit in (("gain_cap", "coin units"), ("blockdepth", "blocks"),
                           ("balance", "coin units")):
@@ -318,13 +327,27 @@ def validate_scenario(scn: Scenario) -> list[str]:
             factor_ok = False
         if not factor_ok:
             bad.append("deposit.factor: must be a non-negative ratio")
+        known = ("gain_cap", "factor", "blockdepth", "balance")
+        bad.extend(_unknown_keys("deposit", scn.deposit, known))
     return bad
+
+
+_DELAY_KEYS = {
+    "uniform": ("model", "lo_ms", "hi_ms"),
+    "gamma": ("model", "scale_ms", "shape"),
+    "trace": ("model", "table", "regions", "jitter_ms"),
+}
 
 
 def _check_delay(label: str, spec) -> list[str]:
     if not isinstance(spec, dict):
         return ["%s: must be an object" % label]
     model = spec.get("model", "uniform")
+    if not isinstance(model, str) or model not in _DELAY_KEYS:
+        return ["%s.model: unknown model %r" % (label, model)]
+    unknown = _unknown_keys(label, spec, _DELAY_KEYS[model])
+    if unknown:
+        return unknown
     if model == "uniform":
         lo, hi = spec.get("lo_ms"), spec.get("hi_ms")
         if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
@@ -333,7 +356,7 @@ def _check_delay(label: str, spec) -> list[str]:
         scale, shape = spec.get("scale_ms"), spec.get("shape", 2.5)
         if not (_is_num(scale) and _is_num(shape) and scale > 0 and shape > 0):
             return ["%s: gamma needs positive shape and scale_ms" % label]
-    elif model == "trace":
+    else:
         table, regions = spec.get("table"), spec.get("regions")
         if not table or not regions:
             return ["%s: trace needs table and regions" % label]
@@ -352,8 +375,6 @@ def _check_delay(label: str, spec) -> list[str]:
         jitter = spec.get("jitter_ms", 1)
         if not _is_int(jitter) or jitter < 0:
             return ["%s.jitter_ms: must be a non-negative integer" % label]
-    else:
-        return ["%s.model: unknown model %r" % (label, model)]
     return []
 
 
@@ -746,7 +767,7 @@ class World:
             for pid in self.roles.byzantine:
                 rng = random.Random(self.seed * 104729 + pid)
                 self.net.send_filters[pid] = make_garble_filter(
-                    None, rng, spec.get("garble_p", 0.0), spec.get("drop_p", 0.0)
+                    rng, spec.get("garble_p", 0.0), spec.get("drop_p", 0.0)
                 )
 
     # -- running ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .crypto import SignedMessage
@@ -69,7 +69,6 @@ class NetConfig:
     gst: int                         # global stabilization time, ticks
     base: DelayModel
     cross: Optional[DelayModel] = None   # honest pairs in different partitions
-    attacker_base: Optional[DelayModel] = None  # attacker -> honest
 
 
 class VirtualNet:
@@ -101,17 +100,11 @@ class VirtualNet:
     def _raw_delay(self, src: int, dst: int) -> int:
         if dst in self.attacker_pids:
             return 0  # adversary omniscience: reads honest traffic instantly
-        if src in self.attacker_pids:
-            model = self.cfg.attacker_base or self.cfg.base
-        elif (
-            self.cfg.cross is not None
-            and self.partition_of.get(src) is not None
-            and self.partition_of.get(dst) is not None
-            and self.partition_of[src] != self.partition_of[dst]
-        ):
-            model = self.cfg.cross
-        else:
-            model = self.cfg.base
+        model = self.cfg.base
+        if self.cfg.cross is not None and src not in self.attacker_pids:
+            psrc, pdst = self.partition_of.get(src), self.partition_of.get(dst)
+            if psrc is not None and pdst is not None and psrc != pdst:
+                model = self.cfg.cross
         if isinstance(model, TraceDelay):
             return model.sample_pair(self.rng, src, dst)
         return model.sample(self.rng)
@@ -263,26 +256,17 @@ def make_benign_filter(
 
 
 def make_garble_filter(
-    inner: Optional[Callable[[SignedMessage], Optional[SignedMessage]]],
-    rng: random.Random,
-    garble_p: float,
-    drop_p: float,
+    rng: random.Random, garble_p: float, drop_p: float
 ) -> Callable[[SignedMessage], Optional[SignedMessage]]:
-    """Byzantine wrapper: may drop or corrupt the node's own sends."""
-    from .crypto import SignedMessage as SM
+    """Byzantine filter: may drop or corrupt the node's own sends."""
 
     def filt(msg: SignedMessage) -> Optional[SignedMessage]:
-        if inner is not None:
-            out = inner(msg)
-            if out is None:
-                return None
-            msg = out
         r = rng.random()
         if r < drop_p:
             return None
         if r < drop_p + garble_p:
             bad_sig = bytes([msg.signature[0] ^ 0xFF]) + msg.signature[1:]
-            return SM(
+            return SignedMessage(
                 kind=msg.kind,
                 instance=msg.instance,
                 round=msg.round,

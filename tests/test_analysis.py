@@ -104,13 +104,13 @@ def test_deposit_flux_exact_value():
 
 
 def test_zero_loss_params_are_checked():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="flux needs"):
         ZeroLossParams(0, "0.1", "0.9", 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="flux needs"):
         ZeroLossParams(3, "0.1", "1", 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="flux needs"):
         ZeroLossParams(3, "-0.1", "0.9", 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="flux needs"):
         ZeroLossParams(3, "0.1", "0.9", -1)
 
 
@@ -126,7 +126,7 @@ def test_min_blockdepth_edges():
     assert min_blockdepth(5, "0.1", 0) == 0
     with pytest.raises(ValueError, match="no finite blockdepth"):
         min_blockdepth(5, "0.1", 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="at least 2 branches"):
         min_blockdepth(1, "0.1", "0.9")
 
 

@@ -1,7 +1,7 @@
 """Reliable broadcast slots feeding the multi-valued decision."""
 
 from accbft.broadcast import kind_phase
-from accbft.crypto import Kind
+from accbft.crypto import Kind, make_message
 from conftest import mini_world, start_contexts
 
 
@@ -44,3 +44,23 @@ def test_silent_proposer_is_left_out_of_the_union():
         assert set(ctx.delivered) == {1, 2, 3}
     decisions = {ctx.decision for ctx in ctxs.values()}
     assert len(decisions) == 1
+
+
+def _ready_over_echoes(reg, iid, echo_round):
+    """A READY from process 2 over h=3 echoes of b"v" signed on echo_round."""
+    echoes = tuple(
+        make_message(reg, s, Kind.ECHO, iid, echo_round, kind_phase(Kind.ECHO), b"v")
+        for s in (2, 3, 4)
+    )
+    return make_message(reg, 2, Kind.READY, iid, 1, kind_phase(Kind.READY), b"v", echoes)
+
+
+def test_ready_needs_round_one_echoes():
+    # an equivocator's echoes on another round of the instance never collide
+    # with its round-1 echo, so they must not count towards a READY either
+    for echo_round, delivers in ((2, False), (1, True)):
+        _, reg, cores = mini_world(4, seed=1)
+        ctx = start_contexts({1: cores[1]}, {})[1]
+        slot = ctx.slots[2]
+        cores[1].deliver_frame(2, _ready_over_echoes(reg, slot.iid, echo_round))
+        assert (slot.delivered == b"v") is delivers

@@ -69,10 +69,10 @@ def test_tampered_signature_rejected(reg2):
 
 def test_registry_add_and_known():
     reg = KeyRegistry([1])
-    assert reg.known(1) and not reg.known(5)
+    other = KeyRegistry([5])
+    msg = make_message(other, 5, Kind.INIT, INST, 1, 0, b"v")
+    assert not verify_message(reg, remade(msg))  # 5's key is unknown to reg
     reg.add(5)
-    assert reg.known(5)
-    msg = make_message(reg, 5, Kind.INIT, INST, 1, 0, b"v")
     assert verify_message(reg, remade(msg))
 
 

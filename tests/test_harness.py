@@ -142,6 +142,25 @@ def test_analyze_rejects_bad_requests(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    ("argv", "code", "diagnostic"),
+    [
+        (("flux", "--a", "0"), EX_SCENARIO, "flux needs a >= 1"),
+        (("flux", "--a", "3", "--b", "-1"), EX_SCENARIO, "flux needs a >= 1"),
+        (("flux", "--b", "-1"), EX_SCENARIO, "flux needs --a"),
+        (("blockdepth", "--a", "0"), EX_SCENARIO, "at least 2 branches"),
+        (("blockdepth", "--curve", "1..3"), EX_SCENARIO, "at least 2 branches"),
+        (("branches", "--n", "9", "--h", "12"), EX_SCENARIO, "threshold out of"),
+        (("confirm", "--n", "9", "--h", "3"), EX_SCENARIO, "threshold out of"),
+        (("blockdepth", "--curve", "5..2"), EX_USAGE, "range 5..2 is reversed"),
+    ],
+)
+def test_analyze_rejects_out_of_domain_input(capsys, argv, code, diagnostic):
+    got, out, err = run_cli(capsys, "analyze", *argv)
+    assert (got, out) == (code, "")
+    assert diagnostic in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_64(capsys):
     assert run_cli(capsys)[0] == EX_USAGE
     assert run_cli(capsys, "frobnicate")[0] == EX_USAGE
@@ -238,6 +257,23 @@ def test_run_rejects_broken_scenarios(capsys, tmp_path):
             "delay.table: no latency for region pair",
         ),
         ({"n": True}, "n: must be a positive integer"),
+        (
+            {"q": 1, "benign": {"kind": "crash_at", "crash_at": 5000}},
+            "benign.crash_at: unknown field",
+        ),
+        ({"t": 1, "byzantine": {"garble": 0.5}}, "byzantine.garble: unknown field"),
+        (
+            {"payload": "ledger", "deposit": {"blockdepth": 3, "depth": 5}},
+            "deposit.depth: unknown field",
+        ),
+        (
+            {"delay": {"model": "uniform", "lo_ms": 1, "hi_ms": 2, "shape": 3}},
+            "delay.shape: unknown field",
+        ),
+        (
+            {"cross_delay": {"model": "gamma", "scale_ms": 5, "jitter_ms": 1}},
+            "cross_delay.jitter_ms: unknown field",
+        ),
     ],
 )
 def test_run_rejects_hostile_scenario_fields(capsys, tmp_path, fields, diagnostic):

@@ -97,6 +97,18 @@ def test_catch_up_rejects_a_thinned_certificate(clean_outcome):
         catch_up(world.registry, chain)
 
 
+def test_catch_up_rejects_votes_spliced_from_two_heights(clean_outcome):
+    world = clean_outcome.world
+    chain = [dict(rec) for rec in world.procs[1].chain]
+    first, second = tuple(chain[0]["cert"]), tuple(chain[1]["cert"])
+    taken = {m.signer for m in first[:2]}
+    spliced = first[:2] + tuple(m for m in second if m.signer not in taken)[:1]
+    assert len({m.signer for m in spliced}) == chain[0]["h"] == 3
+    chain[0]["cert"] = spliced
+    with pytest.raises(ValueError, match="certificate verification failed at height 0"):
+        catch_up(world.registry, chain)
+
+
 def test_catch_up_rejects_an_outsider_vote(clean_outcome, registry):
     from accbft.crypto import make_message
 

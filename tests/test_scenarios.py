@@ -6,12 +6,15 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accbft.committee import FaultProfile, threshold_tolerated
 from accbft.scenarios import (
     RECORD_SCHEMA,
     Scenario,
     ScenarioError,
+    World,
     agreement_scenario,
     assign_roles,
     canonical_record,
@@ -256,3 +259,95 @@ def test_ledger_fork_seed_37_finishes_every_height():
     assert record["heights_done"] == {
         pid: scn.heights for pid in record["heights_done"]
     }
+
+
+# -- fuzzed scenario files -----------------------------------------------------
+
+# Near-miss scenario files: a few fields of a stock scenario replaced by values
+# of roughly the right shape (small integers, the schema's own words, objects
+# with that object's keys) or by arbitrary JSON, and objects merged key by key.
+_WORDS = (
+    "uniform", "gamma", "trace", "broadcast-fork", "binary-fork", "crash_at",
+    "omit_fraction", "stale", "ledger", "tokens", "consensus", "min-index",
+    "superblock", "4/9", "0.1", "1/0", "eu", "us", "",
+)
+_INT = st.integers(min_value=-3, max_value=40)
+_NUM = st.one_of(_INT, st.floats(min_value=-1.5, max_value=40.5))
+_WORD = st.sampled_from(_WORDS)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUM, _WORD),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3), st.dictionaries(_WORD, kids, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _some_of(shapes: dict):
+    """An object holding up to three of the keys in ``shapes``."""
+    return st.lists(st.sampled_from(sorted(shapes)), max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries(
+            {k: st.one_of(shapes[k], shapes[k], _JSON) for k in keys}
+        )
+    )
+
+
+_DELAY = _some_of(
+    {
+        "model": _WORD, "lo_ms": _INT, "hi_ms": _INT, "scale_ms": _NUM,
+        "shape": _NUM, "jitter_ms": _INT, "regions": st.lists(_WORD, max_size=3),
+        "table": st.lists(st.tuples(_WORD, _WORD, _NUM).map(list), max_size=4),
+        "typo": _INT,
+    }
+)
+_OVERRIDES = _some_of(
+    {
+        **{k: _INT for k in ("n", "t", "d", "q", "delta_ms", "gst_ms", "horizon_ms",
+                             "h0", "heights", "pool", "txs_per_block", "typo")},
+        **{k: _WORD for k in ("name", "mode", "payload", "alpha", "h_prime0")},
+        "seeds": st.lists(_INT, max_size=3),
+        "partitions": st.lists(
+            st.lists(st.one_of(_INT, _JSON), max_size=3), max_size=3
+        ),
+        "delay": _DELAY,
+        "cross_delay": _DELAY,
+        "attack": _some_of(
+            {"kind": _WORD, "targets": _INT, "retire_ms": _INT, "typo": _INT}
+        ),
+        "benign": _some_of(
+            {"kind": _WORD, "crash_at_ms": _INT, "omit_p": _NUM, "typo": _INT}
+        ),
+        "byzantine": _some_of({"garble_p": _NUM, "drop_p": _NUM, "typo": _INT}),
+        "deposit": _some_of(
+            {"gain_cap": _INT, "factor": st.one_of(_WORD, _NUM), "blockdepth": _INT,
+             "balance": _INT, "typo": _INT}
+        ),
+    }
+)
+_BASES = (
+    clean_scenario(4).to_dict(),
+    spam_scenario().to_dict(),
+    fork_scenario("binary-fork", payload="ledger").to_dict(),
+)
+
+
+def _merged(base, over):
+    """``over`` laid on ``base``: objects merge key by key, anything else wins."""
+    if isinstance(base, dict) and isinstance(over, dict):
+        out = dict(base)
+        for key, value in over.items():
+            out[key] = _merged(base.get(key), value)
+        return out
+    return over
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_BASES), _OVERRIDES)
+def test_fuzzed_scenarios_parse_or_fail_with_diagnostics(base, over):
+    try:
+        scn = scenario_from_dict(_merged(base, over))
+    except ScenarioError as err:
+        assert err.problems
+        return
+    assert isinstance(scn, Scenario)
+    World(scn, 1)  # builds the network, processes and adversary; never runs

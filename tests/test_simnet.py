@@ -9,7 +9,6 @@ from accbft.crypto import (
     CHAN_BINARY,
     CHAN_CONFIRM,
     GROUP_MAIN,
-    KeyRegistry,
     Kind,
     make_message,
     verify_message,
@@ -160,23 +159,16 @@ def test_stale_process_is_stuck_in_its_first_round(registry):
 
 def test_garble_filter_drops_or_corrupts(registry):
     msg = envelope(registry)
-    dropper = make_garble_filter(None, random.Random(0), garble_p=0.0, drop_p=1.0)
+    dropper = make_garble_filter(random.Random(0), garble_p=0.0, drop_p=1.0)
     assert dropper(msg) is None
-    garbler = make_garble_filter(None, random.Random(0), garble_p=1.0, drop_p=0.0)
+    garbler = make_garble_filter(random.Random(0), garble_p=1.0, drop_p=0.0)
     out = garbler(msg)
     assert out is not None and out is not msg
     assert out.signature != msg.signature
     assert not verify_message(registry, out)
     assert verify_message(registry, msg)
-    clean = make_garble_filter(None, random.Random(0), garble_p=0.0, drop_p=0.0)
+    clean = make_garble_filter(random.Random(0), garble_p=0.0, drop_p=0.0)
     assert clean(msg) is msg
-
-
-def test_garble_filter_wraps_an_inner_filter(registry):
-    net = slow_net()
-    crash = make_benign_filter(net, BenignBehavior(kind="crash_at", crash_at=0), random.Random(0))
-    filt = make_garble_filter(crash, random.Random(0), garble_p=0.0, drop_p=0.0)
-    assert filt(envelope(registry)) is None
 
 
 # -- loop and stats -----------------------------------------------------------------
