@@ -40,6 +40,8 @@ from .crypto import Kind, SignedMessage, pick_certificate, quorum_valid
 _TALLIED = frozenset({Kind.BVECHO, Kind.ECHO})
 # tally index of each phase-2 aux set; indexes 0 and 1 hold BVECHO support
 _AUX_INDEX = {frozenset({0}): 2, frozenset({1}): 3, frozenset({0, 1}): 4}
+# one shared object per non-empty value set, so rounds hold no copies
+_VALUE_SETS = {s: s for s in _AUX_INDEX}
 
 
 def parity(r: int) -> int:
@@ -66,7 +68,6 @@ def dec_bits(payload: bytes) -> Optional[frozenset]:
 class RoundState:
     __slots__ = (
         "sent_bvecho",
-        "bvready_sent",
         "bin_vals",
         "coord_done",
         "aux",
@@ -77,15 +78,15 @@ class RoundState:
     )
 
     def __init__(self):
-        self.sent_bvecho: set[int] = set()
-        self.bvready_sent: set[int] = set()
+        self.sent_bvecho = 0  # bit v set once BVECHO(v) went out
         self.bin_vals: dict[int, tuple] = {}
         self.coord_done = False
         self.aux: Optional[frozenset] = None
         self.echo_sent = False
-        self.expired = {1: False, 2: False}
-        self.epoch = {1: 0, 2: 0}
-        self.fires = {1: 0, 2: 0}
+        # indexed by phase; index 0 is unused
+        self.expired = [False, False, False]
+        self.epoch = [0, 0, 0]
+        self.fires = [0, 0, 0]
 
 
 class BinaryInstance:
@@ -128,12 +129,9 @@ class BinaryInstance:
 
     def _recount(self, r: int) -> list[int]:
         tally = [0] * 5
-        group = self.core.store.group
-        for phase in (1, 2):
-            for m in group(Kind.BVECHO, self.iid, r, phase).values():
+        for m in self.core.store.by_instance.get(self.iid, ()):
+            if m.round == r:
                 self._count(m, tally)
-        for m in group(Kind.ECHO, self.iid, r, 2).values():
-            self._count(m, tally)
         return tally
 
     def tally(self, m: SignedMessage) -> None:
@@ -224,8 +222,8 @@ class BinaryInstance:
         self.phase = 1
         self._tally = None
         rs = self._rs(r)
-        if self.est not in rs.sent_bvecho:
-            rs.sent_bvecho.add(self.est)
+        if not rs.sent_bvecho & (1 << self.est):
+            rs.sent_bvecho |= 1 << self.est
             # the wire phase indexes the echoed value (1+v): echoing both
             # values in one round is legitimate here, so the two sends must
             # occupy distinct slots or they would read as self-equivocation
@@ -268,9 +266,9 @@ class BinaryInstance:
             return
         if not self._cert_valid(m.certificate, Kind.BVECHO, v, m.round, 1 + v):
             return
-        self._bv_deliver(m.round, v, tuple(m.certificate), relay=m)
+        self._bv_deliver(m.round, v, tuple(m.certificate))
 
-    def _bv_deliver(self, r: int, v: int, cert: tuple, relay=None) -> None:
+    def _bv_deliver(self, r: int, v: int, cert: tuple) -> None:
         rs = self._rs(r)
         if v in rs.bin_vals:
             return
@@ -281,9 +279,7 @@ class BinaryInstance:
         ):
             rs.coord_done = True
             self._emit(Kind.COORD, r, 1, enc_bit(v))
-        if v not in rs.bvready_sent:
-            rs.bvready_sent.add(v)
-            self._emit(Kind.BVREADY, r, 1 + v, enc_bit(v), cert)
+        self._emit(Kind.BVREADY, r, 1 + v, enc_bit(v), cert)
 
     # ----------------------------------------------------------------- pump
 
@@ -304,14 +300,14 @@ class BinaryInstance:
         for v in (0, 1):
             signers = self._support(r, v)
             others = signers & ~(1 << pid)
-            if v not in rs.sent_bvecho and others.bit_count() >= second_need:
+            if not rs.sent_bvecho & (1 << v) and others.bit_count() >= second_need:
                 cert = ()
                 if r > 1 and not (r == 2 and v == 1):
                     echoes = self.core.store.group(Kind.BVECHO, self.iid, r, 1 + v)
                     cert = pick_certificate(echoes[s] for s in mask_members(others))
                     if not cert:
                         continue
-                rs.sent_bvecho.add(v)
+                rs.sent_bvecho |= 1 << v
                 self._emit(Kind.BVECHO, r, 1 + v, enc_bit(v), cert)
                 signers = self._support(r, v)
             if v not in rs.bin_vals and signers.bit_count() >= com.h:
@@ -332,11 +328,10 @@ class BinaryInstance:
         r = self.round
         coord = self.committee.coordinator(r)
         cm = self.core.store.first(Kind.COORD, self.iid, r, 1, coord)
-        aux = None
         if cm is not None and len(cm.payload) == 1 and cm.payload[0] in rs.bin_vals:
-            aux = frozenset({cm.payload[0]})
-        if aux is None:
-            aux = frozenset(rs.bin_vals)
+            aux = _VALUE_SETS[frozenset({cm.payload[0]})]
+        else:
+            aux = _VALUE_SETS[frozenset(rs.bin_vals)]
         rs.aux = aux
         self.phase = 2
         if not rs.echo_sent:

@@ -38,7 +38,6 @@ from .crypto import (
     verify_message,
 )
 
-_EMPTY: dict = {}
 _ENVELOPES = frozenset({Kind.MSGSET, Kind.POF_LIST})
 BACKOFF = 1.5  # retransmission timer multiplier per earlier fire
 
@@ -61,22 +60,29 @@ class CoreMetrics:
 
 
 class MessageStore:
-    """First verified message per slot, with grouped and per-instance views.
+    """First verified message per slot, indexed by slot and by instance.
 
     A slot is (kind, instance, round, phase, signer).  A second verified
     message on an occupied slot with a different payload convicts the signer
     (for the kinds where a double-send is equivocation rather than a relay).
     A duplicate that carries a certificate when the stored copy has none
-    upgrades the stored copy: justifications travel lazily.
+    upgrades the stored copy in place: justifications travel lazily.
     """
 
     def __init__(self) -> None:
         self.slots: dict[tuple, SignedMessage] = {}
-        self.by_group: dict[tuple, dict[int, SignedMessage]] = {}
         self.by_instance: dict[InstanceId, list[SignedMessage]] = {}
 
-    def group(self, kind: int, iid: InstanceId, round: int, phase: int):
-        return self.by_group.get((kind, iid, round, phase), _EMPTY)
+    def group(
+        self, kind: int, iid: InstanceId, round: int, phase: int
+    ) -> dict[int, SignedMessage]:
+        """A fresh {signer: message} view of one (kind, instance, round,
+        phase), in the order the signers were first admitted."""
+        return {
+            m.signer: m
+            for m in self.by_instance.get(iid, ())
+            if m.kind == kind and m.round == round and m.phase == phase
+        }
 
     def first(
         self, kind: int, iid: InstanceId, round: int, phase: int, signer: int
@@ -91,23 +97,14 @@ class MessageStore:
             if prev.payload != msg.payload:
                 return "conflict", derive_pof(registry, prev, msg)
             if msg.certificate and not prev.certificate:
-                self._replace(key, prev, msg)
+                self.slots[key] = msg
+                lst = self.by_instance[msg.instance]
+                lst[lst.index(prev)] = msg
                 return "upgraded", None
             return "dup", None
         self.slots[key] = msg
-        self.by_group.setdefault(
-            (msg.kind, msg.instance, msg.round, msg.phase), {}
-        )[msg.signer] = msg
         self.by_instance.setdefault(msg.instance, []).append(msg)
         return "new", None
-
-    def _replace(self, key: tuple, prev: SignedMessage, msg: SignedMessage) -> None:
-        self.slots[key] = msg
-        self.by_group[(msg.kind, msg.instance, msg.round, msg.phase)][
-            msg.signer
-        ] = msg
-        lst = self.by_instance[msg.instance]
-        lst[lst.index(prev)] = msg
 
     def instance_msgs(
         self,

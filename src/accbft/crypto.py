@@ -56,7 +56,7 @@ def _enc_u32(x: int) -> bytes:
     return struct.pack(">I", x)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SignedMessage:
     kind: int
     instance: InstanceId

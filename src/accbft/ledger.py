@@ -20,7 +20,6 @@ import json
 import struct
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .analysis import Ratio, as_fraction
@@ -222,12 +221,6 @@ class DepositPolicy:
     def per_process(self) -> Fraction:
         return 3 * self.pool_target / self.n
 
-    def coalition_cover(self, size: Optional[int] = None) -> Fraction:
-        """Escrow held by a coalition; any ceil(n/3) of them covers the pool."""
-        if size is None:
-            size = ceil(self.n / 3)
-        return size * self.per_process
-
 
 def within_gain_cap(block: Block, policy: DepositPolicy) -> bool:
     """Proposal-time validity hook: oversized blocks never enter consensus."""
@@ -295,9 +288,6 @@ class LedgerState:
 
     def balance(self, account: int) -> int:
         return sum(o.value for o in self.utxos.values() if o.account == account)
-
-    def utxo_total(self) -> int:
-        return sum(o.value for o in self.utxos.values())
 
     def merge_tx(self, tx: Transaction, report: Optional[MergeReport] = None) -> bool:
         """Commit one transaction unconditionally (skip if already known).
@@ -458,38 +448,6 @@ def synthetic_transactions(
         scratch.merge_tx(tx)
         made.append(tx)
     return made
-
-
-def double_spend_pair(
-    registry: KeyRegistry,
-    state: LedgerState,
-    issuer: int,
-    recipients: tuple[int, int],
-    *,
-    seq: int = 0,
-) -> tuple[Transaction, Transaction]:
-    """Two valid-looking transactions spending the issuer's same output."""
-    owned = sorted(
-        (r for r, o in state.utxos.items() if o.account == issuer),
-        key=lambda r: (r[0], r[1]),
-    )
-    assert owned, "issuer has nothing to double-spend"
-    ref = owned[0]
-    coin = state.utxos[ref]
-    pair = []
-    for branch, recipient in enumerate(recipients):
-        pair.append(
-            sign_tx(
-                registry,
-                Transaction(
-                    issuer=issuer,
-                    seq=seq + branch,
-                    inputs=(TxInput(ref[0], ref[1], coin.value),),
-                    outputs=(TxOutput(recipient, coin.value),),
-                ),
-            )
-        )
-    return pair[0], pair[1]
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,12 @@ def validate_scenario(scn: Scenario) -> list[str]:
     return bad
 
 
+# Delay numbers are bounded: a huge or non-finite one overflows the conversion
+# to ticks or the gamma sampler, an infinite shape never returns a sample, and
+# a gamma scale under one tick truncates to 0, which the sampler rejects.
+_MAX_DELAY_MS = 10**9
+_MAX_GAMMA_SHAPE = 10**3
+
 _DELAY_KEYS = {
     "uniform": ("model", "lo_ms", "hi_ms"),
     "gamma": ("model", "scale_ms", "shape"),
@@ -354,8 +360,15 @@ def _check_delay(label: str, spec) -> list[str]:
             return ["%s: uniform needs integers 0 <= lo_ms <= hi_ms" % label]
     elif model == "gamma":
         scale, shape = spec.get("scale_ms"), spec.get("shape", 2.5)
-        if not (_is_num(scale) and _is_num(shape) and scale > 0 and shape > 0):
-            return ["%s: gamma needs positive shape and scale_ms" % label]
+        if not (
+            _is_num(scale) and _is_num(shape)
+            and 1 <= scale * TICKS_PER_MS <= _MAX_DELAY_MS * TICKS_PER_MS
+            and 0 < shape <= _MAX_GAMMA_SHAPE
+        ):
+            return [
+                "%s: gamma needs shape in (0, %d] and scale_ms in [%g, %d]"
+                % (label, _MAX_GAMMA_SHAPE, 1 / TICKS_PER_MS, _MAX_DELAY_MS)
+            ]
     else:
         table, regions = spec.get("table"), spec.get("regions")
         if not table or not regions:
@@ -364,10 +377,14 @@ def _check_delay(label: str, spec) -> list[str]:
             return ["%s.regions: must be a list of region names" % label]
         if not _is_seq(table) or not all(
             _is_seq(row) and len(row) == 3 and isinstance(row[0], str)
-            and isinstance(row[1], str) and _is_num(row[2]) and row[2] >= 0
+            and isinstance(row[1], str) and _is_num(row[2])
+            and 0 <= row[2] <= _MAX_DELAY_MS
             for row in table
         ):
-            return ["%s.table: rows must be [region, region, non-negative ms]" % label]
+            return [
+                "%s.table: rows must be [region, region, ms in [0, %d]]"
+                % (label, _MAX_DELAY_MS)
+            ]
         pairs = {(a, b) for a, b, _ in table} | {(b, a) for a, b, _ in table}
         missing = sorted({(a, b) for a in regions for b in regions} - pairs)
         if missing:

@@ -19,6 +19,7 @@ from accbft.crypto import (
     derive_pof,
     make_message,
 )
+from accbft.ledger import Transaction, TxInput, TxOutput, sign_tx
 from accbft.scenarios import clean_scenario, run_scenario
 from accbft.simnet import NetConfig, UniformDelay, VirtualNet
 
@@ -38,6 +39,29 @@ def fraud_proof(registry, signer, salt=b"", instance=None):
     pof = derive_pof(registry, m1, m2)
     assert pof is not None
     return pof
+
+
+def double_spend_pair(registry, state, issuer, recipients, *, seq=0):
+    """Two valid-looking transactions spending the issuer's same output."""
+    owned = sorted(
+        (r for r, o in state.utxos.items() if o.account == issuer),
+        key=lambda r: (r[0], r[1]),
+    )
+    assert owned, "issuer has nothing to double-spend"
+    ref = owned[0]
+    coin = state.utxos[ref]
+    return tuple(
+        sign_tx(
+            registry,
+            Transaction(
+                issuer=issuer,
+                seq=seq + branch,
+                inputs=(TxInput(ref[0], ref[1], coin.value),),
+                outputs=(TxOutput(recipient, coin.value),),
+            ),
+        )
+        for branch, recipient in enumerate(recipients)
+    )
 
 
 def mini_world(n, seed=0, h0=None, alpha=None):

@@ -18,13 +18,9 @@ from accbft import harness
 from accbft.analysis import alpha_confirm_threshold, min_blockdepth
 from accbft.crypto import KeyRegistry
 from accbft.harness import record_to_row, write_csv
-from accbft.ledger import (
-    Block,
-    double_spend_pair,
-    make_genesis,
-    synthetic_transactions,
-)
+from accbft.ledger import Block, make_genesis, synthetic_transactions
 from accbft.scenarios import canonical_record, clean_scenario, fork_scenario, run_scenario
+from conftest import double_spend_pair
 
 SEEDS = 100
 

@@ -66,6 +66,27 @@ def test_certificate_upgrade_replaces_stored_copy(registry):
     assert store.admit(registry, bare)[0] == "dup"
 
 
+def test_group_keeps_first_admission_order(registry):
+    store = MessageStore()
+    bare = make_message(registry, 3, Kind.EST, INST, 1, 0, b"v")
+    first = make_message(registry, 1, Kind.EST, INST, 1, 0, b"v")
+    second = make_message(registry, 2, Kind.EST, INST, 1, 0, b"w")
+    elsewhere = make_message(registry, 2, Kind.EST, INST, 2, 0, b"w")
+    for m in (bare, elsewhere, first, second):
+        assert store.admit(registry, m)[0] == "new"
+    inner = make_message(registry, 4, Kind.ECHO, INST, 0, 2, b"v")
+    carrying = make_message(registry, 3, Kind.EST, INST, 1, 0, b"v", certificate=(inner,))
+    assert store.admit(registry, carrying)[0] == "upgraded"
+    conflicting = make_message(registry, 1, Kind.EST, INST, 1, 0, b"x")
+    assert store.admit(registry, conflicting)[0] == "conflict"
+    # an upgrade keeps its place; a conflict leaves the first message
+    assert list(store.group(Kind.EST, INST, 1, 0).items()) == [
+        (3, carrying), (1, first), (2, second)
+    ]
+    assert store.group(Kind.EST, INST, 2, 0) == {2: elsewhere}
+    assert store.group(Kind.ECHO, INST, 1, 0) == {}
+
+
 def test_instance_msgs_filters(registry):
     store = MessageStore()
     m_r1 = make_message(registry, 1, Kind.ECHO, INST, 1, 1, b"a")

@@ -274,6 +274,19 @@ def test_run_rejects_broken_scenarios(capsys, tmp_path):
             {"cross_delay": {"model": "gamma", "scale_ms": 5, "jitter_ms": 1}},
             "cross_delay.jitter_ms: unknown field",
         ),
+        ({"delay": {"model": "gamma", "scale_ms": 1e306}}, "delay: gamma needs"),
+        ({"delay": {"model": "gamma", "scale_ms": float("inf")}}, "delay: gamma needs"),
+        ({"delay": {"model": "gamma", "scale_ms": 10**400}}, "delay: gamma needs"),
+        (
+            {"delay": {"model": "gamma", "scale_ms": 5, "shape": float("inf")}},
+            "delay: gamma needs",
+        ),
+        (
+            {"delay": {"model": "trace", "table": [["eu", "eu", float("inf")]],
+                       "regions": ["eu"]}},
+            "delay.table: rows must be",
+        ),
+        ({"delay": {"model": "gamma", "scale_ms": 1e-4}}, "delay: gamma needs"),
     ],
 )
 def test_run_rejects_hostile_scenario_fields(capsys, tmp_path, fields, diagnostic):

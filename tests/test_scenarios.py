@@ -273,6 +273,11 @@ _WORDS = (
 )
 _INT = st.integers(min_value=-3, max_value=40)
 _NUM = st.one_of(_INT, st.floats(min_value=-1.5, max_value=40.5))
+# huge and non-finite numbers, which JSON files can carry, go only to delay
+# fields: validation bounds the delay numbers, not the counts and heights
+_DELAY_NUM = st.one_of(
+    _NUM, st.sampled_from([1e306, 10**400, float("inf"), float("-inf"), float("nan")])
+)
 _WORD = st.sampled_from(_WORDS)
 _JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), _NUM, _WORD),
@@ -294,9 +299,9 @@ def _some_of(shapes: dict):
 
 _DELAY = _some_of(
     {
-        "model": _WORD, "lo_ms": _INT, "hi_ms": _INT, "scale_ms": _NUM,
-        "shape": _NUM, "jitter_ms": _INT, "regions": st.lists(_WORD, max_size=3),
-        "table": st.lists(st.tuples(_WORD, _WORD, _NUM).map(list), max_size=4),
+        "model": _WORD, "lo_ms": _INT, "hi_ms": _INT, "scale_ms": _DELAY_NUM,
+        "shape": _DELAY_NUM, "jitter_ms": _INT, "regions": st.lists(_WORD, max_size=3),
+        "table": st.lists(st.tuples(_WORD, _WORD, _DELAY_NUM).map(list), max_size=4),
         "typo": _INT,
     }
 )
@@ -341,13 +346,52 @@ def _merged(base, over):
     return over
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.sampled_from(_BASES), _OVERRIDES)
-def test_fuzzed_scenarios_parse_or_fail_with_diagnostics(base, over):
+def _parse_or_diagnose(raw):
+    """A scenario file either fails with diagnostics, or builds the network,
+    processes and adversary and draws one delay per link (it never runs)."""
     try:
-        scn = scenario_from_dict(_merged(base, over))
+        scn = scenario_from_dict(raw)
     except ScenarioError as err:
         assert err.problems
         return
     assert isinstance(scn, Scenario)
-    World(scn, 1)  # builds the network, processes and adversary; never runs
+    net = World(scn, 1).net
+    for src in net.hosts:
+        for dst in net.hosts:
+            net.delay(src, dst)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_BASES), _OVERRIDES)
+def test_fuzzed_scenarios_parse_or_fail_with_diagnostics(base, over):
+    _parse_or_diagnose(_merged(base, over))
+
+
+# Whole delay objects of each model, with its own fields only, so the
+# model-specific number checks are reached: a near-miss merged into a base's
+# uniform delay keeps lo_ms and hi_ms, and stops at the unknown-field check.
+_REGION = st.sampled_from(["eu", "us"])
+_DELAYS = st.one_of(
+    st.fixed_dictionaries({"model": st.just("uniform"), "lo_ms": _INT, "hi_ms": _INT}),
+    st.fixed_dictionaries(
+        {"model": st.just("gamma"), "scale_ms": _DELAY_NUM},
+        optional={"shape": _DELAY_NUM},
+    ),
+    st.fixed_dictionaries(
+        {
+            "model": st.just("trace"),
+            "regions": st.just(["eu", "us"]),
+            "table": st.lists(
+                st.tuples(_REGION, _REGION, _DELAY_NUM).map(list),
+                min_size=1,
+                max_size=4,
+            ),
+        }
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DELAYS, st.sampled_from(["delay", "cross_delay"]))
+def test_fuzzed_delay_models_parse_or_fail_with_diagnostics(delay, field):
+    _parse_or_diagnose({**fork_scenario("binary-fork").to_dict(), field: delay})

@@ -5,7 +5,9 @@ estimates, upgrades of estimates first seen without their certificate,
 conflicting sends, phase-2 echoes and broadcast echoes, plus exclusions on
 the core's committee and on a second context's own committee (which changes
 without a committee-version bump).  After every step, the tallies the next
-pump would count with must equal what a recount of the store gives.
+pump would count with must equal what a recount of the store gives, and
+every grouped view of the store must equal a reference the test keeps from
+the messages offered to the store.
 """
 
 from hypothesis import given, settings
@@ -82,6 +84,38 @@ def check_tallies(ctxs):
                 assert echoes == recount_broadcast(inst)
 
 
+class GroupReference:
+    """What store.group must return: per (kind, instance, round, phase), each
+    signer's first admitted message, in first-admission order, swapped in
+    place for a later copy that carries a certificate the first lacked."""
+
+    def __init__(self, store):
+        self.store = store
+        self.groups = {}
+        admit = store.admit
+
+        def recording(registry, msg):
+            self.record(msg)
+            return admit(registry, msg)
+
+        store.admit = recording
+
+    def record(self, msg):
+        group = self.groups.setdefault((msg.kind, msg.instance, msg.round, msg.phase), {})
+        prev = group.get(msg.signer)
+        if prev is None or (
+            prev.payload == msg.payload and msg.certificate and not prev.certificate
+        ):
+            group[msg.signer] = msg
+
+    def check(self):
+        for key, want in self.groups.items():
+            got = self.store.group(*key)
+            assert list(got) == list(want)
+            assert all(got[s] is m for s, m in want.items())
+        assert sum(map(len, self.groups.values())) == len(self.store.slots)
+
+
 def certificate(reg, iid, kind, r, v, signers):
     if kind == "bvecho":
         return tuple(
@@ -97,6 +131,7 @@ def certificate(reg, iid, kind, r, v, signers):
 def test_tallies_match_a_recount_after_every_step(actions):
     _, reg, cores = mini_world(N)
     core = cores[1]
+    ref = GroupReference(core.store)
     side = Committee(initial=tuple(range(1, N + 1)), h0=core.committee.h0)
     ctxs = [MultiContext(core, core.committee, period=0), MultiContext(core, side, period=1)]
     for ctx in ctxs:
@@ -105,6 +140,7 @@ def test_tallies_match_a_recount_after_every_step(actions):
         ctx.bins[3].propose(0)
         ctx.bins[3]._enter_round(2)
     check_tallies(ctxs)
+    ref.check()
     for action in actions:
         kind, ci = action[0], action[1]
         ctx = ctxs[ci]
@@ -127,6 +163,7 @@ def test_tallies_match_a_recount_after_every_step(actions):
                 msg = make_message(reg, signer, Kind.BVECHO, iid, 2, 1 + v, enc_bit(v), attached)
                 core.deliver_frame(signer, msg)
                 check_tallies(ctxs)
+                ref.check()
         elif kind == "echo":
             _, _, src, r, payload, signer = action
             msg = make_message(reg, signer, Kind.ECHO, ctx.bins[src].iid, r, 2, payload)
@@ -145,3 +182,4 @@ def test_tallies_match_a_recount_after_every_step(actions):
                 # version bump and no recheck pass
                 update_committee(ctx.committee, [pof])
         check_tallies(ctxs)
+        ref.check()
