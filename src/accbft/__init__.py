@@ -34,7 +34,6 @@ from .ledger import (
     TxInput,
     TxOutput,
     decode_block,
-    dump_chain,
     make_genesis,
     sign_tx,
     tx_valid,
@@ -93,7 +92,6 @@ __all__ = [
     "TxInput",
     "TxOutput",
     "decode_block",
-    "dump_chain",
     "make_genesis",
     "sign_tx",
     "tx_valid",

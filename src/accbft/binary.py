@@ -164,13 +164,6 @@ class BinaryInstance:
             return self._recount(r)[v]
         return self._counts()[v]
 
-    def _quorum_cert(self, kind: int, r: int, phase: int, signers: int) -> tuple:
-        """The first h counted signers in signer order, attachments stripped."""
-        group = self.core.store.group(kind, self.iid, r, phase)
-        return tuple(
-            group[s].stripped() for s in mask_members(signers)[: self.committee.h]
-        )
-
     def _cert_valid(self, cert: tuple, kind: int, value: int, r: int, phase: int) -> bool:
         """A certificate is h(d_r) distinct active signers over one slot+value."""
         want = enc_bits({value}) if kind == Kind.ECHO else enc_bit(value)
@@ -311,7 +304,9 @@ class BinaryInstance:
                 self._emit(Kind.BVECHO, r, 1 + v, enc_bit(v), cert)
                 signers = self._support(r, v)
             if v not in rs.bin_vals and signers.bit_count() >= com.h:
-                cert = self._quorum_cert(Kind.BVECHO, r, 1 + v, signers)
+                cert = self.core.store.quorum_cert(
+                    Kind.BVECHO, self.iid, r, 1 + v, signers, com.h
+                )
                 self._bv_deliver(r, v, cert)
 
         # phase-1 exit
@@ -363,7 +358,9 @@ class BinaryInstance:
     def _echo_only_cert(self, v: int) -> tuple:
         signers = self._counts()[_AUX_INDEX[frozenset({v})]]
         assert signers.bit_count() >= self.committee.h, "phase-2 exit guaranteed these"
-        return self._quorum_cert(Kind.ECHO, self.round, 2, signers)
+        return self.core.store.quorum_cert(
+            Kind.ECHO, self.iid, self.round, 2, signers, self.committee.h
+        )
 
     def _finish_round(self, rs: RoundState, vals: frozenset) -> None:
         r = self.round

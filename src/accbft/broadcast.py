@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .committee import Committee, mask_members
+from .committee import Committee
 from .crypto import Kind, SignedMessage, quorum_valid
 
 
@@ -136,8 +136,9 @@ class BroadcastInstance:
         if not quorum:
             return
         value = min(quorum)
-        group = self.core.store.group(Kind.ECHO, self.iid, 1, _ECHO_PHASE)
-        cert = tuple(group[s].stripped() for s in mask_members(support[value])[:h])
+        cert = self.core.store.quorum_cert(
+            Kind.ECHO, self.iid, 1, _ECHO_PHASE, support[value], h
+        )
         self.ready_sent = True
         self._emit(Kind.READY, value, cert)
         self._deliver(value)

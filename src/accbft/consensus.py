@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 from .analysis import alpha_confirm_threshold
 from .binary import BinaryInstance, parity
 from .broadcast import BroadcastInstance
-from .committee import Committee, FaultProfile, update_committee
+from .committee import Committee, FaultProfile, mask_members, update_committee
 from .crypto import (
     CHAN_BCAST,
     CHAN_BINARY,
@@ -83,6 +83,14 @@ class MessageStore:
             for m in self.by_instance.get(iid, ())
             if m.kind == kind and m.round == round and m.phase == phase
         }
+
+    def quorum_cert(
+        self, kind: int, iid: InstanceId, round: int, phase: int, signers: int, h: int
+    ) -> tuple[SignedMessage, ...]:
+        """The first h signers of the mask, in signer order, attachments
+        stripped: the certificate a quorum of that group backs."""
+        group = self.group(kind, iid, round, phase)
+        return tuple(group[s].stripped() for s in mask_members(signers)[:h])
 
     def first(
         self, kind: int, iid: InstanceId, round: int, phase: int, signer: int
@@ -401,10 +409,6 @@ def confirm_status(
 # the multi-valued context: n broadcast slots + n binary votes
 # ---------------------------------------------------------------------------
 
-MODE_MIN_INDEX = "min-index"
-MODE_SUPERBLOCK = "superblock"
-
-
 class MultiContext:
     """One multi-valued agreement: every proposer broadcasts a value, every
     slot gets a binary vote, and the frozen bit vector projects to a decision.
@@ -412,10 +416,10 @@ class MultiContext:
     A slot's vote starts at 1 when its value arrives (and validates), and at 0
     once h(d_r) slots have decided 1 — so a shrinking h after exclusions can
     unlock the zero-fill.  The vector freezes when all votes are in; the
-    decision is either the lowest bit-1 value or the canonical union of all
-    bit-1 values.  With a confirmation ratio set, the decision is echoed with
-    the lowest bit-1 vote certificate attached, and peer echoes either confirm
-    it or expose a certified conflicting decision.
+    decision is the superblock, the canonical union of all bit-1 values.  With
+    the run's confirmation ratio set, the decision is echoed with the lowest
+    bit-1 vote certificate attached, and peer echoes either confirm it or
+    expose a certified conflicting decision.
     """
 
     def __init__(
@@ -426,16 +430,11 @@ class MultiContext:
         attempt: int = 0,
         group: int = GROUP_MAIN,
         proposers: Optional[Iterable[int]] = None,
-        mode: str = MODE_SUPERBLOCK,
-        alpha=None,
         validator: Optional[Callable[[int, bytes], bool]] = None,
     ):
-        assert mode in (MODE_MIN_INDEX, MODE_SUPERBLOCK), mode
         self.core = core
         self.committee = committee
         self.key = (period, attempt, group)
-        self.mode = mode
-        self.alpha = alpha if alpha is not None else core.cfg.alpha
         self.validator = validator
         self.stopped = False
         self.proposers = tuple(
@@ -541,22 +540,13 @@ class MultiContext:
         if self.vector is None:
             return
         ones = [src for src, b in self.vector if b == 1]
-        if self.mode == MODE_MIN_INDEX:
-            if not ones:
-                return  # nothing decided 1: no value to return
-            j = ones[0]
-            if j not in self.delivered:
-                return  # wait for the value to arrive
-            decision = self.delivered[j]
-        else:
-            if any(src not in self.delivered for src in ones):
-                return
-            decision = encode_value_set(self.delivered[src] for src in ones)
-        self.decision = decision
+        if any(src not in self.delivered for src in ones):
+            return
+        self.decision = encode_value_set(self.delivered[src] for src in ones)
         self.decided_at = self.core.now()
         if self.on_decided is not None:
             self.on_decided(self)
-        if self.alpha is not None:
+        if self.core.cfg.alpha is not None:
             self._send_confirm(ones)
         # slot values for bit-0 slots are never needed
         for src, b in self.vector:
@@ -605,11 +595,8 @@ class MultiContext:
         )
 
     def _eval_confirm(self) -> None:
-        if (
-            self.decision is None
-            or self.alpha is None
-            or self.confirmation != "pending"
-        ):
+        alpha = self.core.cfg.alpha
+        if self.decision is None or alpha is None or self.confirmation != "pending":
             return
         msgs = self.core.store.group(Kind.ECHO, self.confirm_iid, 1, 1)
         count = 0
@@ -622,7 +609,7 @@ class MultiContext:
             elif self._valid_foreign_cert(m.certificate):
                 conflict = True
         status = confirm_status(
-            self.committee.n0, self.committee.h, self.alpha, count, conflict
+            self.committee.n0, self.committee.h, alpha, count, conflict
         )
         if status != self.confirmation:
             self.confirmation = status
@@ -648,7 +635,5 @@ class MultiContext:
     def decided_values(self) -> Optional[list[bytes]]:
         if self.decision is None:
             return None
-        if self.mode == MODE_SUPERBLOCK:
-            return decode_value_set(self.decision)
-        return [self.decision]
+        return decode_value_set(self.decision)
 

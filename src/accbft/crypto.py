@@ -149,65 +149,35 @@ def pick_certificate(candidates: Iterable[SignedMessage]) -> tuple[SignedMessage
 
 
 # ---------------------------------------------------------------------------
-# signing backends
+# signing
 # ---------------------------------------------------------------------------
 
 
 class KeyRegistry:
-    """Key material for a closed set of process ids.
-
-    scheme="blake2": keyed BLAKE2b MACs (fast path for large simulations; the
-    simulator is a closed world, so a per-process secret MAC registry gives the
-    same unforgeability semantics to honest observers).
-    scheme="ed25519": real asymmetric signatures via the cryptography package.
-    Both sit behind the same sign/verify interface and are cross-tested.
+    """Key material for a closed set of process ids: one keyed BLAKE2b MAC
+    per process.  The simulator is a closed world, so a per-process secret MAC
+    registry gives honest observers the same unforgeability as signatures.
     """
 
-    def __init__(self, pids: Sequence[int], scheme: str = "blake2", seed: int = 0):
-        assert scheme in ("blake2", "ed25519"), scheme
-        self.scheme = scheme
+    def __init__(self, pids: Sequence[int], seed: int = 0):
         self._macs: dict[int, bytes] = {}
-        self._priv: dict[int, object] = {}
-        self._pub: dict[int, object] = {}
         for pid in pids:
             self.add(pid, seed)
 
     def add(self, pid: int, seed: int = 0) -> None:
-        if pid not in self._macs and pid not in self._priv:
-            root = hashlib.blake2b(
+        if pid not in self._macs:
+            self._macs[pid] = hashlib.blake2b(
                 b"accbft-key:%d:%d" % (seed, pid), digest_size=32
             ).digest()
-            if self.scheme == "blake2":
-                self._macs[pid] = root
-            else:
-                from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-                    Ed25519PrivateKey,
-                )
-
-                priv = Ed25519PrivateKey.from_private_bytes(root)
-                self._priv[pid] = priv
-                self._pub[pid] = priv.public_key()
 
     def sign(self, pid: int, data: bytes) -> bytes:
-        if self.scheme == "blake2":
-            return hashlib.blake2b(data, key=self._macs[pid], digest_size=16).digest()
-        return self._priv[pid].sign(data)  # type: ignore[union-attr]
+        return hashlib.blake2b(data, key=self._macs[pid], digest_size=16).digest()
 
     def verify(self, pid: int, data: bytes, sig: bytes) -> bool:
-        if self.scheme == "blake2":
-            key = self._macs.get(pid)
-            if key is None:
-                return False
-            want = hashlib.blake2b(data, key=key, digest_size=16).digest()
-            return sig == want
-        pub = self._pub.get(pid)
-        if pub is None:
+        key = self._macs.get(pid)
+        if key is None:
             return False
-        try:
-            pub.verify(sig, data)  # type: ignore[union-attr]
-            return True
-        except Exception:
-            return False
+        return sig == hashlib.blake2b(data, key=key, digest_size=16).digest()
 
 
 def make_message(

@@ -16,11 +16,10 @@ All amounts are whole coin units.  An unspent output is keyed by
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .analysis import Ratio, as_fraction
 from .crypto import KeyRegistry
@@ -337,11 +336,7 @@ class LedgerState:
                 report.refunded.append((ref, value))
         return recovered
 
-    def merge_block(
-        self,
-        block: Block,
-        check: Optional[Callable[[Block], bool]] = None,
-    ) -> MergeReport:
+    def merge_block(self, block: Block) -> MergeReport:
         """Fold a (possibly conflicting) block into local state.
 
         Every unknown transaction is committed; fresh outputs to punished
@@ -349,8 +344,6 @@ class LedgerState:
         the block has made whole is refunded.  A block that brings no
         conflicts is just a normal commit and leaves the deposit untouched.
         """
-        if check is not None and not check(block):
-            raise ValueError("block certificate rejected")
         report = MergeReport(block=block.digest(), deposit_before=self.deposit)
         for tx in block.txs:
             if self.merge_tx(tx, report):
@@ -448,51 +441,3 @@ def synthetic_transactions(
         scratch.merge_tx(tx)
         made.append(tx)
     return made
-
-
-# ---------------------------------------------------------------------------
-# chain dump
-# ---------------------------------------------------------------------------
-
-
-def certificate_digest(msgs: Iterable) -> str:
-    """Stable hex digest of a vote set (order-independent)."""
-    encodings = sorted(m.full_encoding() for m in msgs)
-    h = hashlib.sha256()
-    for enc in encodings:
-        h.update(struct.pack(">I", len(enc)))
-        h.update(enc)
-    return h.hexdigest()
-
-
-def chain_dump_lines(chain: Iterable[Mapping]) -> list[str]:
-    """Render consensus chain records as JSON lines, one block each.
-
-    Certificates are folded to digests so the dump is compact and byte-stable
-    for golden-file comparison.
-    """
-    lines = []
-    for rec in chain:
-        block: bytes = rec["block"]
-        entry = {
-            "height": rec["height"],
-            "attempt": rec.get("attempt", 0),
-            "block": block.hex(),
-            "block_digest": hashlib.sha256(block).hexdigest(),
-            "bits": {str(k): v for k, v in sorted(rec.get("bits", {}).items())},
-            "committee": list(rec.get("committee", ())),
-            "h": rec.get("h"),
-            "cert_digest": certificate_digest(rec.get("cert", ())),
-            "confirm_digest": (
-                certificate_digest(rec["confirm"]) if rec.get("confirm") else None
-            ),
-            "decided_at": rec.get("decided_at"),
-        }
-        lines.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-    return lines
-
-
-def dump_chain(chain: Iterable[Mapping], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in chain_dump_lines(chain):
-            fh.write(line + "\n")

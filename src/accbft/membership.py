@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 
 from .binary import enc_bits, parity
 from .committee import Committee, update_committee
-from .consensus import MODE_SUPERBLOCK, MultiContext, NodeCore
+from .consensus import MultiContext, NodeCore
 from .crypto import (
     CHAN_BINARY,
     CHAN_CONFIRM,
@@ -129,8 +129,6 @@ class AsmrProcess:
         h_prime0: int,
         pool: Iterable[int] = (),
         proposal_fn: Optional[Callable[[int], Optional[bytes]]] = None,
-        mode: str = MODE_SUPERBLOCK,
-        alpha=None,
         max_heights: int = 1,
         joined: bool = True,
     ):
@@ -142,8 +140,6 @@ class AsmrProcess:
         self.pool: list[int] = list(pool)
         self.pool_used: set[int] = set()
         self.proposal_fn = proposal_fn or (lambda height: None)
-        self.mode = mode
-        self.alpha = alpha
         # block check for main contexts; World sets it for ledger runs
         self.validator: Optional[Callable[[int, bytes], bool]] = None
         self.max_heights = max_heights
@@ -190,8 +186,6 @@ class AsmrProcess:
             period=self.height,
             attempt=self.changes_done,
             group=GROUP_MAIN,
-            mode=self.mode,
-            alpha=self.alpha,
             validator=self.validator,
         )
         ctx.on_decided = self._on_main_decided
@@ -286,8 +280,6 @@ class AsmrProcess:
             period=self.changes_done,
             attempt=0,
             group=GROUP_EXCLUDE,
-            mode=MODE_SUPERBLOCK,
-            alpha=None,
             validator=self._valid_pof_set,
         )
         ctx.on_decided = self._on_exclusion_decided
@@ -351,8 +343,6 @@ class AsmrProcess:
             period=self.changes_done,
             attempt=0,
             group=GROUP_INCLUDE,
-            mode=MODE_SUPERBLOCK,
-            alpha=None,
             validator=self._make_candidate_validator(k),
         )
         ctx.on_decided = self._on_inclusion_decided

@@ -21,21 +21,14 @@ import hashlib
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from math import ceil
 from typing import Iterable, Optional
 
 from .analysis import as_fraction
 from .committee import Committee, FaultProfile, default_h0
-from .consensus import (
-    MODE_MIN_INDEX,
-    MODE_SUPERBLOCK,
-    NetAdapter,
-    NodeCore,
-    ProtoConfig,
-    decode_value_set,
-)
+from .consensus import NetAdapter, NodeCore, ProtoConfig, decode_value_set
 from .crypto import CHAN_BINARY, KeyRegistry
 from .ledger import (
     Block,
@@ -88,7 +81,8 @@ class Scenario:
     horizon_ms: int
     h0: Optional[int] = None          # default: ceil(2n/3)
     h_prime0: object = "consensus"    # int, or a preset name
-    mode: str = MODE_SUPERBLOCK
+    # the one decision rule; kept because records and CSV rows carry it
+    mode: str = "superblock"
     heights: int = 1
     alpha: Optional[str] = None       # confirmation ratio, e.g. "4/9"
     seeds: tuple = (1,)
@@ -104,60 +98,27 @@ class Scenario:
     txs_per_block: int = 4
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "n": self.n,
-            "t": self.t,
-            "d": self.d,
-            "q": self.q,
-            "delta_ms": self.delta_ms,
-            "gst_ms": self.gst_ms,
-            "horizon_ms": self.horizon_ms,
-            "h_prime0": self.h_prime0,
-            "mode": self.mode,
-            "heights": self.heights,
-            "seeds": list(self.seeds),
-            "delay": dict(self.delay),
-            "pool": self.pool,
-            "payload": self.payload,
-            "txs_per_block": self.txs_per_block,
-        }
-        if self.h0 is not None:
-            out["h0"] = self.h0
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.cross_delay is not None:
-            out["cross_delay"] = dict(self.cross_delay)
-        if self.partitions is not None:
-            out["partitions"] = [list(p) for p in self.partitions]
-        for key in ("attack", "benign", "byzantine", "deposit"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = dict(val)
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-_REQUIRED = ("name", "n", "t", "d", "q", "delta_ms", "gst_ms", "horizon_ms")
+_KNOWN = frozenset(f.name for f in fields(Scenario))
+_REQUIRED = tuple(
+    f.name for f in fields(Scenario)
+    if f.default is MISSING and f.default_factory is MISSING
+)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Parse a scenario description, collecting field-level diagnostics."""
     problems = []
-    data = dict(raw)
+    kwargs = dict(raw)
     for key in _REQUIRED:
-        if key not in data:
+        if key not in kwargs:
             problems.append("%s: required field missing" % key)
-    known = {
-        "name", "n", "t", "d", "q", "delta_ms", "gst_ms", "horizon_ms",
-        "h0", "h_prime0", "mode", "heights", "alpha", "seeds", "delay",
-        "cross_delay", "partitions", "attack", "benign", "byzantine",
-        "pool", "deposit", "payload", "txs_per_block",
-    }
-    for key in sorted(set(data) - known):
+    for key in sorted(set(kwargs) - _KNOWN):
         problems.append("%s: unknown field" % key)
     if problems:
         raise ScenarioError(problems)
-    kwargs = {k: data[k] for k in data if k in known}
     # malformed shapes pass through as given, for validate_scenario to report
     if isinstance(kwargs.get("seeds"), list):
         kwargs["seeds"] = tuple(kwargs["seeds"])
@@ -199,11 +160,32 @@ def _unknown_keys(label: str, spec: dict, known: Iterable[str]) -> list[str]:
     return ["%s.%s: unknown field" % (label, key) for key in unknown]
 
 
+# Every number is bounded.  Process ids and heights travel as 32-bit fields,
+# and larger counts make building the world, the genesis block or a proposal
+# loop for hours.  A huge or non-finite delay number overflows the conversion
+# to ticks or the gamma sampler, an infinite shape never returns a sample, and
+# a gamma scale under one tick truncates to 0, which the sampler rejects.
+_MAX_PROCESSES = 1000  # n, and the standby pool
+_MAX_HEIGHTS = 10**6  # heights, deposit blockdepth
+_MAX_TXS = 1000  # txs_per_block
+_MAX_COINS = 10**6  # deposit gain_cap and balance
+_MAX_MS = 10**9  # every _ms field
+_MAX_GAMMA_SHAPE = 10**3
+
+
+def _bounded(bad: list, label: str, v, lo: int, hi: int, unit: str = "") -> bool:
+    """Whether ``v`` is an integer in [lo, hi] (lo is 0 or 1); if not, say so."""
+    if _is_int(v) and lo <= v <= hi:
+        return True
+    sign = "positive" if lo else "non-negative"
+    bad.append("%s: must be a %s integer%s, at most %d" % (label, sign, unit, hi))
+    return False
+
+
 def validate_scenario(scn: Scenario) -> list[str]:
     bad = []
     n = scn.n
-    if not _is_int(n) or n < 1:
-        bad.append("n: must be a positive integer")
+    if not _bounded(bad, "n", n, 1, _MAX_PROCESSES):
         return bad
     if not isinstance(scn.name, str) or not scn.name:
         bad.append("name: must be a non-empty string")
@@ -211,7 +193,7 @@ def validate_scenario(scn: Scenario) -> list[str]:
         v = getattr(scn, name)
         if not _is_int(v) or v < 0:
             bad.append("%s: must be a non-negative integer" % name)
-    d = scn.d if _is_int(scn.d) else 0
+    d = scn.d if _is_int(scn.d) and scn.d <= n else 0
     if not bad and scn.t + scn.d + scn.q > n:
         bad.append("t+d+q: fault counts exceed n")
     h0 = scn.h0 if scn.h0 is not None else default_h0(n)
@@ -223,26 +205,24 @@ def validate_scenario(scn: Scenario) -> list[str]:
             bad.append("h_prime0: unknown preset %r" % hp)
     elif not (_is_int(hp) and n // 2 < hp <= n):
         bad.append("h_prime0: must be a preset name or satisfy n/2 < h' <= n")
-    if scn.mode not in (MODE_MIN_INDEX, MODE_SUPERBLOCK):
-        bad.append("mode: must be %r or %r" % (MODE_MIN_INDEX, MODE_SUPERBLOCK))
+    if scn.mode != "superblock":
+        bad.append("mode: must be 'superblock'")
     if scn.payload not in PAYLOAD_KINDS:
         bad.append("payload: must be one of %s" % (PAYLOAD_KINDS,))
+    ms = " (milliseconds)"
     for name in ("delta_ms", "horizon_ms"):
-        v = getattr(scn, name)
-        if not _is_int(v) or v < 1:
-            bad.append("%s: must be a positive integer (milliseconds)" % name)
-    if not _is_int(scn.gst_ms) or scn.gst_ms < 0:
-        bad.append("gst_ms: must be a non-negative integer (milliseconds)")
-    elif _is_int(scn.horizon_ms) and scn.horizon_ms <= scn.gst_ms:
+        _bounded(bad, name, getattr(scn, name), 1, _MAX_MS, ms)
+    if (
+        _bounded(bad, "gst_ms", scn.gst_ms, 0, _MAX_MS, ms)
+        and _is_int(scn.horizon_ms)
+        and scn.horizon_ms <= scn.gst_ms
+    ):
         bad.append("horizon_ms: must exceed gst_ms")
-    if not _is_int(scn.heights) or scn.heights < 1:
-        bad.append("heights: must be a positive integer")
+    _bounded(bad, "heights", scn.heights, 1, _MAX_HEIGHTS)
     if not _is_seq(scn.seeds) or not scn.seeds or not all(map(_is_int, scn.seeds)):
         bad.append("seeds: must be a non-empty list of integers")
-    if not _is_int(scn.pool) or scn.pool < 0:
-        bad.append("pool: must be a non-negative integer")
-    if not _is_int(scn.txs_per_block) or scn.txs_per_block < 0:
-        bad.append("txs_per_block: must be a non-negative integer")
+    _bounded(bad, "pool", scn.pool, 0, _MAX_PROCESSES)
+    _bounded(bad, "txs_per_block", scn.txs_per_block, 0, _MAX_TXS)
     bad.extend(_check_delay("delay", scn.delay))
     if scn.cross_delay is not None:
         bad.extend(_check_delay("cross_delay", scn.cross_delay))
@@ -257,7 +237,6 @@ def validate_scenario(scn: Scenario) -> list[str]:
     for key in ("attack", "benign", "byzantine", "deposit"):
         if getattr(scn, key) is not None and not isinstance(getattr(scn, key), dict):
             bad.append("%s: must be an object" % key)
-    deceitful = set(range(1, d + 1))
     parts = scn.partitions
     if parts is not None and not (_is_seq(parts) and all(map(_is_seq, parts))):
         bad.append("partitions: must be a list of pid lists")
@@ -267,7 +246,7 @@ def validate_scenario(scn: Scenario) -> list[str]:
             for pid in part:
                 if not _is_int(pid) or not (1 <= pid <= n):
                     bad.append("partitions[%d]: pid %r out of range" % (i, pid))
-                elif pid in deceitful:
+                elif pid <= d:
                     bad.append(
                         "partitions[%d]: pid %d is deceitful, not a partition member"
                         % (i, pid)
@@ -290,8 +269,8 @@ def validate_scenario(scn: Scenario) -> list[str]:
         elif kind == "binary-fork" and targets < 1:
             bad.append("attack.targets: binary-fork needs at least one target")
         retire = scn.attack.get("retire_ms")
-        if retire is not None and (not _is_int(retire) or retire < 0):
-            bad.append("attack.retire_ms: must be a non-negative integer")
+        if retire is not None:
+            _bounded(bad, "attack.retire_ms", retire, 0, _MAX_MS, ms)
         known = ("kind", "targets", "retire_ms")
         bad.extend(_unknown_keys("attack", scn.attack, known))
     if isinstance(scn.benign, dict):
@@ -299,8 +278,7 @@ def validate_scenario(scn: Scenario) -> list[str]:
         if kind not in BENIGN_KINDS:
             bad.append("benign.kind: must be one of %s" % (BENIGN_KINDS,))
         crash = scn.benign.get("crash_at_ms", 0)
-        if not _is_int(crash) or crash < 0:
-            bad.append("benign.crash_at_ms: must be a non-negative integer")
+        _bounded(bad, "benign.crash_at_ms", crash, 0, _MAX_MS, ms)
         omit = scn.benign.get("omit_p", 0.0)
         if not _is_num(omit) or not (0 <= omit <= 1):
             bad.append("benign.omit_p: must lie in [0, 1]")
@@ -314,13 +292,10 @@ def validate_scenario(scn: Scenario) -> list[str]:
             bad.append("byzantine: garble_p/drop_p must lie in [0,1] and sum to <= 1")
         bad.extend(_unknown_keys("byzantine", scn.byzantine, ("garble_p", "drop_p")))
     if isinstance(scn.deposit, dict):
-        for key, unit in (("gain_cap", "coin units"), ("blockdepth", "blocks"),
-                          ("balance", "coin units")):
-            v = scn.deposit.get(key, 0)
-            if not _is_int(v) or v < 0:
-                bad.append(
-                    "deposit.%s: must be a non-negative integer (%s)" % (key, unit)
-                )
+        for key, hi, unit in (("gain_cap", _MAX_COINS, " (coin units)"),
+                              ("blockdepth", _MAX_HEIGHTS, " (blocks)"),
+                              ("balance", _MAX_COINS, " (coin units)")):
+            _bounded(bad, "deposit." + key, scn.deposit.get(key, 0), 0, hi, unit)
         try:
             factor_ok = as_fraction(scn.deposit.get("factor", "0.1")) >= 0
         except (ValueError, ZeroDivisionError, TypeError):
@@ -331,12 +306,6 @@ def validate_scenario(scn: Scenario) -> list[str]:
         bad.extend(_unknown_keys("deposit", scn.deposit, known))
     return bad
 
-
-# Delay numbers are bounded: a huge or non-finite one overflows the conversion
-# to ticks or the gamma sampler, an infinite shape never returns a sample, and
-# a gamma scale under one tick truncates to 0, which the sampler rejects.
-_MAX_DELAY_MS = 10**9
-_MAX_GAMMA_SHAPE = 10**3
 
 _DELAY_KEYS = {
     "uniform": ("model", "lo_ms", "hi_ms"),
@@ -358,16 +327,18 @@ def _check_delay(label: str, spec) -> list[str]:
         lo, hi = spec.get("lo_ms"), spec.get("hi_ms")
         if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
             return ["%s: uniform needs integers 0 <= lo_ms <= hi_ms" % label]
+        if hi > _MAX_MS:
+            return ["%s.hi_ms: must be at most %d (milliseconds)" % (label, _MAX_MS)]
     elif model == "gamma":
         scale, shape = spec.get("scale_ms"), spec.get("shape", 2.5)
         if not (
             _is_num(scale) and _is_num(shape)
-            and 1 <= scale * TICKS_PER_MS <= _MAX_DELAY_MS * TICKS_PER_MS
+            and 1 <= scale * TICKS_PER_MS <= _MAX_MS * TICKS_PER_MS
             and 0 < shape <= _MAX_GAMMA_SHAPE
         ):
             return [
                 "%s: gamma needs shape in (0, %d] and scale_ms in [%g, %d]"
-                % (label, _MAX_GAMMA_SHAPE, 1 / TICKS_PER_MS, _MAX_DELAY_MS)
+                % (label, _MAX_GAMMA_SHAPE, 1 / TICKS_PER_MS, _MAX_MS)
             ]
     else:
         table, regions = spec.get("table"), spec.get("regions")
@@ -378,20 +349,20 @@ def _check_delay(label: str, spec) -> list[str]:
         if not _is_seq(table) or not all(
             _is_seq(row) and len(row) == 3 and isinstance(row[0], str)
             and isinstance(row[1], str) and _is_num(row[2])
-            and 0 <= row[2] <= _MAX_DELAY_MS
+            and 0 <= row[2] <= _MAX_MS
             for row in table
         ):
             return [
                 "%s.table: rows must be [region, region, ms in [0, %d]]"
-                % (label, _MAX_DELAY_MS)
+                % (label, _MAX_MS)
             ]
         pairs = {(a, b) for a, b, _ in table} | {(b, a) for a, b, _ in table}
         missing = sorted({(a, b) for a in regions for b in regions} - pairs)
         if missing:
             return ["%s.table: no latency for region pair %s" % (label, missing[0])]
-        jitter = spec.get("jitter_ms", 1)
-        if not _is_int(jitter) or jitter < 0:
-            return ["%s.jitter_ms: must be a non-negative integer" % label]
+        bad: list[str] = []
+        _bounded(bad, label + ".jitter_ms", spec.get("jitter_ms", 1), 0, _MAX_MS)
+        return bad
     return []
 
 
@@ -511,8 +482,6 @@ class AdversaryBrain:
                     world.h_prime0,
                     pool=(),
                     proposal_fn=world.make_proposal_fn(pid, ledger, camp=ci),
-                    mode=scn.mode,
-                    alpha=world.alpha,
                     max_heights=scn.heights,
                 )
                 self.shadows[(ci, pid)] = proc
@@ -706,8 +675,6 @@ class World:
             self.h_prime0,
             pool=self.roles.pool,
             proposal_fn=self.make_proposal_fn(pid, ledger),
-            mode=self.scn.mode,
-            alpha=self.alpha,
             max_heights=self.scn.heights,
             joined=joined,
         )
@@ -745,9 +712,7 @@ class World:
     def _decision_blocks(self, decision: Optional[bytes]) -> list[bytes]:
         if not decision:
             return []
-        if self.scn.mode == MODE_SUPERBLOCK:
-            return sorted(decode_value_set(decision))
-        return [decision]
+        return sorted(decode_value_set(decision))
 
     def _invite(self, chosen: list[int], snapshot: dict) -> None:
         for pid in chosen:
@@ -1029,7 +994,6 @@ def clean_scenario(
     name: Optional[str] = None,
     heights: int = 1,
     seeds: tuple = (1,),
-    mode: str = MODE_SUPERBLOCK,
     gst_ms: int = 0,
     horizon_ms: int = 60_000,
     payload: str = "tokens",
@@ -1046,7 +1010,6 @@ def clean_scenario(
         gst_ms=gst_ms,
         horizon_ms=horizon_ms,
         heights=heights,
-        mode=mode,
         seeds=seeds,
         alpha=alpha,
         payload=payload,

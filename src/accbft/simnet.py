@@ -1,9 +1,11 @@
 """Deterministic discrete-event network fabric.
 
 Single-threaded virtual-time simulator: every run is fully determined by its
-seed.  Messages are never dropped — the adversary (and the delay models) may
-only reorder and delay them, with every delay clamped to the synchrony bound
-after the global stabilization time.  Virtual time is integer microseconds.
+seed.  The network itself never drops a message: the delay models only reorder
+and delay them, with every delay clamped to the synchrony bound after the
+global stabilization time.  Only a faulty sender's send filter (benign
+omission or crash, byzantine garbling) drops frames, and ``stats.omitted``
+counts them.  Virtual time is integer microseconds.
 """
 
 from __future__ import annotations

@@ -4,13 +4,7 @@ pre-run scenario whose outcome several test modules pick apart."""
 import pytest
 
 from accbft.committee import Committee, FaultProfile, default_h0
-from accbft.consensus import (
-    MODE_SUPERBLOCK,
-    MultiContext,
-    NetAdapter,
-    NodeCore,
-    ProtoConfig,
-)
+from accbft.consensus import MultiContext, NetAdapter, NodeCore, ProtoConfig
 from accbft.crypto import (
     GROUP_MAIN,
     CHAN_BCAST,
@@ -82,11 +76,11 @@ def mini_world(n, seed=0, h0=None, alpha=None):
     return net, reg, cores
 
 
-def start_contexts(cores, values, mode=MODE_SUPERBLOCK, alpha=None):
+def start_contexts(cores, values):
     """One agreement context per core; ``values`` maps pid -> proposal."""
     ctxs = {}
     for pid, core in cores.items():
-        ctx = MultiContext(core, core.committee, mode=mode, alpha=alpha)
+        ctx = MultiContext(core, core.committee)
         core.register_context(ctx)
         ctxs[pid] = ctx
     for pid, ctx in ctxs.items():

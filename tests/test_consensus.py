@@ -220,9 +220,8 @@ def test_msgset_bundles_are_walked_once():
 
 
 def test_alpha_confirmation_on_a_clean_network():
-    alpha = Fraction(1, 2)
-    net, _, cores = mini_world(4, seed=9, alpha=alpha)
-    ctxs = start_contexts(cores, {p: b"v%d" % p for p in cores}, alpha=alpha)
+    net, _, cores = mini_world(4, seed=9, alpha=Fraction(1, 2))
+    ctxs = start_contexts(cores, {p: b"v%d" % p for p in cores})
     assert net.run() == "quiescent"
     for ctx in ctxs.values():
         assert ctx.confirmation == "confirmed"

@@ -40,9 +40,10 @@ def remade(msg, **overrides):
     return SignedMessage(**fields)
 
 
-@pytest.fixture(params=["blake2", "ed25519"])
-def reg2(request):
-    return KeyRegistry([1, 2], scheme=request.param)
+# BLAKE2b MACs are the one key scheme; the param keeps the test ids stable
+@pytest.fixture(params=["blake2"])
+def reg2():
+    return KeyRegistry([1, 2])
 
 
 def test_sign_verify_round_trip(reg2):
@@ -52,7 +53,7 @@ def test_sign_verify_round_trip(reg2):
 
 def test_unknown_signer_rejected(reg2):
     msg = make_message(reg2, 1, Kind.ECHO, INST, 1, 1, b"payload")
-    stranger_view = KeyRegistry([2], scheme=reg2.scheme)
+    stranger_view = KeyRegistry([2])
     assert not verify_message(stranger_view, remade(msg))
 
 

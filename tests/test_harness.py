@@ -287,6 +287,18 @@ def test_run_rejects_broken_scenarios(capsys, tmp_path):
             "delay.table: rows must be",
         ),
         ({"delay": {"model": "gamma", "scale_ms": 1e-4}}, "delay: gamma needs"),
+        ({"n": 10**400}, "n: must be a positive integer, at most 1000"),
+        ({"pool": 10**400}, "pool: must be a non-negative integer, at most 1000"),
+        (
+            {"payload": "ledger", "deposit": {"balance": 10**400}},
+            "deposit.balance: must be a non-negative integer (coin units), at most",
+        ),
+        (
+            {"payload": "ledger", "txs_per_block": 10**9},
+            "txs_per_block: must be a non-negative integer, at most 1000",
+        ),
+        ({"delta_ms": 10**400}, "delta_ms: must be a positive integer (milliseconds)"),
+        ({"mode": "min-index"}, "mode: must be 'superblock'"),
     ],
 )
 def test_run_rejects_hostile_scenario_fields(capsys, tmp_path, fields, diagnostic):

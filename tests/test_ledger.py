@@ -1,6 +1,5 @@
 """Merge-not-reject ledger: codecs, deposit accounting, branch totality."""
 
-import json
 import random
 from fractions import Fraction
 from math import ceil
@@ -9,17 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accbft.crypto import CHAN_BCAST, GROUP_MAIN, Kind, make_message
 from accbft.ledger import (
     Block,
     DepositPolicy,
     Transaction,
     TxInput,
     TxOutput,
-    certificate_digest,
-    chain_dump_lines,
     decode_block,
-    dump_chain,
     gain_of_block,
     make_genesis,
     sign_tx,
@@ -220,14 +215,6 @@ def test_merge_report_conservation_identity(registry):
     assert delta == report.refunded_total + report.seized - report.funded_total
 
 
-def test_merge_block_check_hook(registry):
-    genesis, state = make_genesis({1: 100})
-    block = block_of([pay(registry, state, 1, 2)], genesis.digest())
-    with pytest.raises(ValueError, match="block certificate rejected"):
-        state.merge_block(block, check=lambda b: False)
-    assert state.balance(2) == 0  # nothing applied
-
-
 def test_clone_isolates_merges(registry):
     genesis, state = make_genesis({1: 100}, deposit=9)
     twin = state.clone()
@@ -278,45 +265,6 @@ def test_double_spend_pair_shares_one_input(registry):
     assert tx_valid(registry, d1) and tx_valid(registry, d2)
     assert {o.account for o in d1.outputs} == {2}
     assert {o.account for o in d2.outputs} == {3}
-
-
-# -- chain dumps ------------------------------------------------------------------
-
-
-def test_certificate_digest_is_order_independent(registry):
-    iid = (0, 0, GROUP_MAIN, CHAN_BCAST, 1)
-    a = make_message(registry, 1, Kind.ECHO, iid, 1, 2, b"blk")
-    b = make_message(registry, 2, Kind.ECHO, iid, 1, 2, b"blk")
-    assert certificate_digest([a, b]) == certificate_digest([b, a])
-    assert certificate_digest([a]) != certificate_digest([a, b])
-    assert len(certificate_digest([])) == 64
-
-
-def test_chain_dump_lines_are_stable(registry, tmp_path):
-    genesis, _ = make_genesis({1: 10})
-    iid = (0, 0, GROUP_MAIN, CHAN_BCAST, 1)
-    cert = (make_message(registry, 1, Kind.ECHO, iid, 1, 2, b"blk"),)
-    chain = [
-        {
-            "height": 0,
-            "block": genesis.encoding(),
-            "bits": {2: 1, 1: 1},
-            "committee": (1, 2, 3),
-            "h": 2,
-            "cert": cert,
-            "decided_at": 77,
-        }
-    ]
-    lines = chain_dump_lines(chain)
-    assert lines == chain_dump_lines(chain)
-    entry = json.loads(lines[0])
-    assert entry["height"] == 0 and entry["h"] == 2
-    assert entry["bits"] == {"1": 1, "2": 1}
-    assert decode_block(bytes.fromhex(entry["block"])) == genesis
-    assert entry["confirm_digest"] is None
-    path = tmp_path / "chain.jsonl"
-    dump_chain(chain, path)
-    assert path.read_text() == lines[0] + "\n"
 
 
 # -- totality under arbitrary interleaving -----------------------------------------

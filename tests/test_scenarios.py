@@ -271,13 +271,10 @@ _WORDS = (
     "omit_fraction", "stale", "ledger", "tokens", "consensus", "min-index",
     "superblock", "4/9", "0.1", "1/0", "eu", "us", "",
 )
-_INT = st.integers(min_value=-3, max_value=40)
+# every number may also be huge or non-finite, as JSON files can carry
+_HUGE = st.sampled_from([1e306, 10**400, float("inf"), float("-inf"), float("nan")])
+_INT = st.one_of(st.integers(min_value=-3, max_value=40), _HUGE)
 _NUM = st.one_of(_INT, st.floats(min_value=-1.5, max_value=40.5))
-# huge and non-finite numbers, which JSON files can carry, go only to delay
-# fields: validation bounds the delay numbers, not the counts and heights
-_DELAY_NUM = st.one_of(
-    _NUM, st.sampled_from([1e306, 10**400, float("inf"), float("-inf"), float("nan")])
-)
 _WORD = st.sampled_from(_WORDS)
 _JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), _NUM, _WORD),
@@ -299,9 +296,9 @@ def _some_of(shapes: dict):
 
 _DELAY = _some_of(
     {
-        "model": _WORD, "lo_ms": _INT, "hi_ms": _INT, "scale_ms": _DELAY_NUM,
-        "shape": _DELAY_NUM, "jitter_ms": _INT, "regions": st.lists(_WORD, max_size=3),
-        "table": st.lists(st.tuples(_WORD, _WORD, _DELAY_NUM).map(list), max_size=4),
+        "model": _WORD, "lo_ms": _INT, "hi_ms": _INT, "scale_ms": _NUM,
+        "shape": _NUM, "jitter_ms": _INT, "regions": st.lists(_WORD, max_size=3),
+        "table": st.lists(st.tuples(_WORD, _WORD, _NUM).map(list), max_size=4),
         "typo": _INT,
     }
 )
@@ -309,7 +306,8 @@ _OVERRIDES = _some_of(
     {
         **{k: _INT for k in ("n", "t", "d", "q", "delta_ms", "gst_ms", "horizon_ms",
                              "h0", "heights", "pool", "txs_per_block", "typo")},
-        **{k: _WORD for k in ("name", "mode", "payload", "alpha", "h_prime0")},
+        **{k: _WORD for k in ("name", "mode", "payload")},
+        **{k: st.one_of(_WORD, _NUM) for k in ("alpha", "h_prime0")},
         "seeds": st.lists(_INT, max_size=3),
         "partitions": st.lists(
             st.lists(st.one_of(_INT, _JSON), max_size=3), max_size=3
@@ -374,15 +372,15 @@ _REGION = st.sampled_from(["eu", "us"])
 _DELAYS = st.one_of(
     st.fixed_dictionaries({"model": st.just("uniform"), "lo_ms": _INT, "hi_ms": _INT}),
     st.fixed_dictionaries(
-        {"model": st.just("gamma"), "scale_ms": _DELAY_NUM},
-        optional={"shape": _DELAY_NUM},
+        {"model": st.just("gamma"), "scale_ms": _NUM},
+        optional={"shape": _NUM},
     ),
     st.fixed_dictionaries(
         {
             "model": st.just("trace"),
             "regions": st.just(["eu", "us"]),
             "table": st.lists(
-                st.tuples(_REGION, _REGION, _DELAY_NUM).map(list),
+                st.tuples(_REGION, _REGION, _NUM).map(list),
                 min_size=1,
                 max_size=4,
             ),
