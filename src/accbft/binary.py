@@ -24,6 +24,20 @@ only grows), so a committee update plus a pump() re-evaluates the round
 under the new threshold.  A quorum certificate is the first h counted
 signers in signer order, built once when the threshold is crossed.
 
+pump() runs on propose, at every round and phase entry, on every timer and
+on a committee recheck.  A dispatched message runs it only if something a
+trigger reads moved since the last pump (see _stale):
+  - a tally bit that meets a threshold: BVECHO(v) while v is unsent and the
+    others' support reaches the second-echo count, or while v is undelivered
+    and the support reaches h(d_r); a phase-2 aux bit in phase 2 once the
+    phase timer has expired (see _can_fire);
+  - a certified BVREADY that adds a value to the current round's bin_vals;
+  - a committee d_r other than the one the tally was counted under, which a
+    context's own committee can reach without a recheck.
+Nothing else can make a trigger fire: the triggers read only those counts,
+bin_vals, d_r, the timer latches and the round and phase, and a change to
+the last two pumps on its own.
+
 Timers latch: once a phase timer fires, the "expired" half of the exit
 condition stays satisfied; further fires only rebroadcast the stored message
 set for the stuck phase (and everything held for future phases/rounds).
@@ -90,6 +104,25 @@ class RoundState:
 
 
 class BinaryInstance:
+    __slots__ = (
+        "core",
+        "committee",
+        "iid",
+        "cfg",
+        "started",
+        "est",
+        "est_cert",
+        "round",
+        "phase",
+        "rounds",
+        "decided",
+        "decision_cert",
+        "_decision_relayed",
+        "_tally",
+        "_counted_d_r",
+        "_due",
+    )
+
     def __init__(self, core, committee: Committee, iid, cfg):
         self.core = core
         self.committee = committee
@@ -107,7 +140,10 @@ class BinaryInstance:
         # the current round's tally (see _counts) and the d_r it was counted
         # under; none until the first pump of a round, dropped at decision
         self._tally: Optional[list[int]] = None
-        self._counted_d_r = 0
+        self._counted_d_r = committee.d_r
+        # a tally bit or a bin_vals entry since the last pump that can fire
+        # a trigger (see _can_fire); cleared when pump starts
+        self._due = False
 
     # ------------------------------------------------------------------ util
 
@@ -138,24 +174,62 @@ class BinaryInstance:
         """Count a message the store just admitted as new or upgraded (a
         tally counted under an older d_r is recounted before it is read)."""
         if m.kind in _TALLIED and self._tally is not None and m.round == self.round:
-            self._count(m, self._tally)
+            i = self._count(m, self._tally)
+            if i >= 0 and self._can_fire(i):
+                self._due = True
 
-    def _count(self, m: SignedMessage, tally: list[int]) -> None:
+    def _count(self, m: SignedMessage, tally: list[int]) -> int:
+        """Set m's signer bit in the tally entry its vote counts for; that
+        entry's index if the bit is new, else -1."""
         if m.kind == Kind.BVECHO:
             # the wire phase is 1+v, so a slot only supports the value it names
             if m.phase not in (1, 2) or m.payload != enc_bit(m.phase - 1):
-                return
-            v = m.phase - 1
+                return -1
+            i = m.phase - 1
             if (
-                not tally[v] >> m.signer & 1
-                and self.committee.is_active(m.signer)
-                and self._bvecho_admissible(m)
+                tally[i] >> m.signer & 1
+                or not self.committee.is_active(m.signer)
+                or not self._bvecho_admissible(m)
             ):
-                tally[v] |= 1 << m.signer
+                return -1
         elif m.kind == Kind.ECHO and m.phase == 2:
             s = dec_bits(m.payload)
-            if s is not None and self.committee.is_active(m.signer):
-                tally[_AUX_INDEX[s]] |= 1 << m.signer
+            if s is None or not self.committee.is_active(m.signer):
+                return -1
+            i = _AUX_INDEX[s]
+            if tally[i] >> m.signer & 1:
+                return -1
+        else:
+            return -1
+        tally[i] |= 1 << m.signer
+        return i
+
+    def _can_fire(self, i: int) -> bool:
+        """Whether the current round's tally entry i, just grown by one
+        signer, meets a threshold pump acts on: the second echo or the
+        delivery of value i, or (an aux entry) the phase-2 exit once its
+        timer has expired."""
+        rs = self.rounds[self.round]
+        if i >= 2:
+            return self.phase == 2 and rs.expired[2]
+        signers = self._tally[i]
+        if not rs.sent_bvecho >> i & 1:
+            others = signers & ~(1 << self.core.pid)
+            if others.bit_count() >= self._second_need():
+                return True
+        return i not in rs.bin_vals and signers.bit_count() >= self.committee.h
+
+    def _stale(self) -> bool:
+        """Whether a pump could fire anything: something it reads moved since
+        the last one (a due tally bit or bin_vals entry, or d_r)."""
+        return self._due or self._counted_d_r != self.committee.d_r
+
+    def _second_need(self) -> int:
+        """Distinct other supporters of a value that make this process echo
+        it too."""
+        com = self.committee
+        profile = self.cfg.profile
+        return max(1, (com.n0 - profile.q - profile.t) // 2 - com.d_r)
 
     def _support(self, r: int, v: int) -> int:
         """Bitmask of the signers whose round-r BVECHO for v counts.  Round r
@@ -232,7 +306,8 @@ class BinaryInstance:
             return
         if m.kind == Kind.BVREADY:
             self._on_bvready(m)
-        self.pump()
+        if self._stale():
+            self.pump()
 
     def _on_decision(self, m: SignedMessage) -> None:
         if self.decided is not None:
@@ -260,6 +335,8 @@ class BinaryInstance:
         if not self._cert_valid(m.certificate, Kind.BVECHO, v, m.round, 1 + v):
             return
         self._bv_deliver(m.round, v, tuple(m.certificate))
+        if m.round == self.round:  # a later round pumps at its entry
+            self._due = True
 
     def _bv_deliver(self, r: int, v: int, cert: tuple) -> None:
         rs = self._rs(r)
@@ -278,6 +355,7 @@ class BinaryInstance:
 
     def pump(self) -> None:
         """Re-evaluate every monotone trigger for the current round."""
+        self._due = False
         if self.decided is not None or not self.started:
             return
         r = self.round
@@ -285,10 +363,7 @@ class BinaryInstance:
         com = self.committee
 
         # second echo + delivery per value
-        second_need = max(
-            1,
-            (com.n0 - self.cfg.profile.q - self.cfg.profile.t) // 2 - com.d_r,
-        )
+        second_need = self._second_need()
         pid = self.core.pid
         for v in (0, 1):
             signers = self._support(r, v)

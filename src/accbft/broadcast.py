@@ -7,6 +7,11 @@ proofs), or one value wins; helpers echoing both values convict themselves.
 
 ECHO support is tallied per value as the store admits each echo, and
 recounted from the store only when the committee's exclusion count changes.
+
+pump() runs when the source broadcasts and on a committee recheck.  A
+dispatched INIT or ECHO runs it only before the first count, after an echo
+value reached h(d_r), or once d_r differs from the one the tally was counted
+under (see _stale): the one trigger is a value's echo count reaching h(d_r).
 """
 
 from __future__ import annotations
@@ -18,6 +23,23 @@ from .crypto import Kind, SignedMessage, quorum_valid
 
 
 class BroadcastInstance:
+    __slots__ = (
+        "core",
+        "committee",
+        "iid",
+        "source",
+        "echoed",
+        "ready_sent",
+        "delivered",
+        "epoch",
+        "fires",
+        "cancelled",
+        "_armed",
+        "_counted_d_r",
+        "_echoes",
+        "_due",
+    )
+
     def __init__(self, core, committee: Committee, iid, source: int):
         self.core = core
         self.committee = committee
@@ -32,8 +54,11 @@ class BroadcastInstance:
         self._armed = False
         # value -> bitmask of active echo signers, and the d_r it was counted
         # under; none until the first pump, dropped at delivery or cancellation
-        self._counted_d_r = 0
+        self._counted_d_r = committee.d_r
         self._echoes: Optional[dict[bytes, int]] = None
+        # an echo value reached h(d_r) since the last pump (or nothing has
+        # been counted yet); cleared when pump starts
+        self._due = True
 
     # ------------------------------------------------------------- lifecycle
 
@@ -78,9 +103,11 @@ class BroadcastInstance:
             if not self.echoed:
                 self.echoed = True
                 self._emit(Kind.ECHO, m.payload)
-            self.pump()
+            if self._stale():
+                self.pump()
         elif m.kind == Kind.ECHO:
-            self.pump()
+            if self._stale():
+                self.pump()
         elif m.kind == Kind.READY:
             self._on_ready(m)
 
@@ -105,16 +132,28 @@ class BroadcastInstance:
         """Count a message the store just admitted as new or upgraded (a
         tally counted under an older d_r is recounted before it is read)."""
         if self._echoes is not None:
-            self._count(m)
+            mask = self._count(m)
+            if mask.bit_count() >= self.committee.h:
+                self._due = True
 
-    def _count(self, m: SignedMessage) -> None:
+    def _count(self, m: SignedMessage) -> int:
+        """Add m's signer to its value's echo mask; the mask (0 if m is not
+        a counted echo)."""
         if (
             m.kind == Kind.ECHO
             and m.round == 1
             and m.phase == _ECHO_PHASE
             and self.committee.is_active(m.signer)
         ):
-            self._echoes[m.payload] = self._echoes.get(m.payload, 0) | 1 << m.signer
+            mask = self._echoes.get(m.payload, 0) | 1 << m.signer
+            self._echoes[m.payload] = mask
+            return mask
+        return 0
+
+    def _stale(self) -> bool:
+        """Whether a pump could fire anything: an echo value reached h(d_r),
+        or d_r moved, since the last one."""
+        return self._due or self._counted_d_r != self.committee.d_r
 
     def _support(self) -> dict[bytes, int]:
         """The echo tally, recounted from the store if d_r moved."""
@@ -128,6 +167,7 @@ class BroadcastInstance:
         return self._echoes
 
     def pump(self) -> None:
+        self._due = False
         if self.delivered is not None or self.cancelled or self.ready_sent:
             return
         support = self._support()

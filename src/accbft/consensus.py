@@ -67,11 +67,18 @@ class MessageStore:
     (for the kinds where a double-send is equivocation rather than a relay).
     A duplicate that carries a certificate when the stored copy has none
     upgrades the stored copy in place: justifications travel lazily.
+
+    ``mark`` is this store's bit in ``SignedMessage._held``: it is set on the
+    very object a slot holds and moved to the new copy on an upgrade, so
+    ``m._held & store.mark`` is ``store.slots.get(m.slot()) is m`` without
+    hashing the slot.  Stores that see the same message objects (the stores of
+    one network) need distinct marks.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, mark: int) -> None:
         self.slots: dict[tuple, SignedMessage] = {}
         self.by_instance: dict[InstanceId, list[SignedMessage]] = {}
+        self.mark = mark
 
     def group(
         self, kind: int, iid: InstanceId, round: int, phase: int
@@ -106,11 +113,14 @@ class MessageStore:
                 return "conflict", derive_pof(registry, prev, msg)
             if msg.certificate and not prev.certificate:
                 self.slots[key] = msg
+                prev._held &= ~self.mark
+                msg._held |= self.mark
                 lst = self.by_instance[msg.instance]
                 lst[lst.index(prev)] = msg
                 return "upgraded", None
             return "dup", None
         self.slots[key] = msg
+        msg._held |= self.mark
         self.by_instance.setdefault(msg.instance, []).append(msg)
         return "new", None
 
@@ -177,7 +187,7 @@ class NodeCore:
         self.committee = committee
         self.cfg = cfg
         self.net = adapter
-        self.store = MessageStore()
+        self.store = MessageStore(adapter.net.store_mark())
         self.metrics = CoreMetrics()
         self.committee_version = 0
         self.contexts: dict[tuple, "MultiContext"] = {}
@@ -276,10 +286,10 @@ class NodeCore:
             self.ingest_pofs(found)
 
     def _ingest(self, m: SignedMessage, found: list, fresh: list) -> None:
-        slots = self.store.slots
+        mark = self.store.mark
         # envelopes never nest; and the very object stored here is verified
-        # and cannot upgrade itself, so one slot lookup settles it
-        if m.kind in _ENVELOPES or slots.get(m.slot()) is m:
+        # and cannot upgrade itself, so its held mark settles it
+        if m.kind in _ENVELOPES or m._held & mark:
             return
         status = self._ingest_one(m, found, fresh)
         if status is None or status == "dup":
@@ -287,7 +297,7 @@ class NodeCore:
             # retransmissions add nothing (their inners ride the wire anyway)
             return
         for inner in m.certificate:
-            if slots.get(inner.slot()) is not inner and inner.kind not in _ENVELOPES:
+            if not inner._held & mark and inner.kind not in _ENVELOPES:
                 self._ingest_one(inner, found, fresh)
 
     def _ingest_one(self, m: SignedMessage, found: list, fresh: list) -> Optional[str]:

@@ -162,13 +162,17 @@ def _unknown_keys(label: str, spec: dict, known: Iterable[str]) -> list[str]:
 
 # Every number is bounded.  Process ids and heights travel as 32-bit fields,
 # and larger counts make building the world, the genesis block or a proposal
-# loop for hours.  A huge or non-finite delay number overflows the conversion
-# to ticks or the gamma sampler, an infinite shape never returns a sample, and
-# a gamma scale under one tick truncates to 0, which the sampler rejects.
+# loop for hours.  The deposit factor is the pool target in gain caps: a huge
+# one funds a pool that every fork leaves whole, and the deposit flux a run
+# records then means nothing.  A huge or non-finite delay number overflows the
+# conversion to ticks or the gamma sampler, an infinite shape never returns a
+# sample, and a gamma scale under one tick truncates to 0, which the sampler
+# rejects.
 _MAX_PROCESSES = 1000  # n, and the standby pool
 _MAX_HEIGHTS = 10**6  # heights, deposit blockdepth
 _MAX_TXS = 1000  # txs_per_block
 _MAX_COINS = 10**6  # deposit gain_cap and balance
+_MAX_DEPOSIT_FACTOR = 10**3  # deposit factor, in gain caps
 _MAX_MS = 10**9  # every _ms field
 _MAX_GAMMA_SHAPE = 10**3
 
@@ -297,11 +301,14 @@ def validate_scenario(scn: Scenario) -> list[str]:
                               ("balance", _MAX_COINS, " (coin units)")):
             _bounded(bad, "deposit." + key, scn.deposit.get(key, 0), 0, hi, unit)
         try:
-            factor_ok = as_fraction(scn.deposit.get("factor", "0.1")) >= 0
+            factor = as_fraction(scn.deposit.get("factor", "0.1"))
         except (ValueError, ZeroDivisionError, TypeError):
-            factor_ok = False
-        if not factor_ok:
-            bad.append("deposit.factor: must be a non-negative ratio")
+            factor = None
+        if factor is None or not 0 <= factor <= _MAX_DEPOSIT_FACTOR:
+            bad.append(
+                "deposit.factor: must be a non-negative ratio, at most %d"
+                % _MAX_DEPOSIT_FACTOR
+            )
         known = ("gain_cap", "factor", "blockdepth", "balance")
         bad.extend(_unknown_keys("deposit", scn.deposit, known))
     return bad

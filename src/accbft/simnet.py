@@ -91,11 +91,20 @@ class VirtualNet:
         self.send_filters: dict[int, Callable[[SignedMessage], Optional[SignedMessage]]] = {}
         self.stats = NetStats()
         self.trace: Optional[list] = None
+        self._stores = 0  # message stores given a mark so far
 
     # -- wiring ------------------------------------------------------------
 
     def add_host(self, pid: int, host: object) -> None:
         self.hosts[pid] = host
+
+    def store_mark(self) -> int:
+        """A bit of its own for one message store on this network: the stores
+        that receive the same frame objects tell their held marks apart by it
+        (see consensus.MessageStore)."""
+        mark = 1 << self._stores
+        self._stores += 1
+        return mark
 
     # -- sampling ----------------------------------------------------------
 

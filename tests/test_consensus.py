@@ -30,7 +30,7 @@ INST = (0, 0, GROUP_MAIN, CHAN_BCAST, 1)
 
 
 def test_admit_statuses(registry):
-    store = MessageStore()
+    store = MessageStore(1)
     first = make_message(registry, 1, Kind.ECHO, INST, 1, 1, b"v")
     assert store.admit(registry, first) == ("new", None)
     again = make_message(registry, 1, Kind.ECHO, INST, 1, 1, b"v")
@@ -43,7 +43,7 @@ def test_admit_statuses(registry):
 
 
 def test_relay_conflict_yields_no_proof(registry):
-    store = MessageStore()
+    store = MessageStore(1)
     store.admit(registry, make_message(registry, 1, Kind.READY, INST, 1, 2, b"v"))
     status, pof = store.admit(
         registry, make_message(registry, 1, Kind.READY, INST, 1, 2, b"w")
@@ -52,7 +52,7 @@ def test_relay_conflict_yields_no_proof(registry):
 
 
 def test_certificate_upgrade_replaces_stored_copy(registry):
-    store = MessageStore()
+    store = MessageStore(1)
     bare = make_message(registry, 1, Kind.EST, INST, 2, 0, b"v")
     inner = make_message(registry, 2, Kind.ECHO, INST, 1, 2, b"v")
     carrying = make_message(registry, 1, Kind.EST, INST, 2, 0, b"v", certificate=(inner,))
@@ -67,7 +67,7 @@ def test_certificate_upgrade_replaces_stored_copy(registry):
 
 
 def test_group_keeps_first_admission_order(registry):
-    store = MessageStore()
+    store = MessageStore(1)
     bare = make_message(registry, 3, Kind.EST, INST, 1, 0, b"v")
     first = make_message(registry, 1, Kind.EST, INST, 1, 0, b"v")
     second = make_message(registry, 2, Kind.EST, INST, 1, 0, b"w")
@@ -88,7 +88,7 @@ def test_group_keeps_first_admission_order(registry):
 
 
 def test_instance_msgs_filters(registry):
-    store = MessageStore()
+    store = MessageStore(1)
     m_r1 = make_message(registry, 1, Kind.ECHO, INST, 1, 1, b"a")
     m_r2 = make_message(registry, 2, Kind.ECHO, INST, 2, 1, b"b")
     m_rdy = make_message(registry, 3, Kind.READY, INST, 2, 2, b"c")

@@ -299,6 +299,10 @@ def test_run_rejects_broken_scenarios(capsys, tmp_path):
         ),
         ({"delta_ms": 10**400}, "delta_ms: must be a positive integer (milliseconds)"),
         ({"mode": "min-index"}, "mode: must be 'superblock'"),
+        (
+            {"payload": "ledger", "deposit": {"factor": 10**400}},
+            "deposit.factor: must be a non-negative ratio, at most 1000",
+        ),
     ],
 )
 def test_run_rejects_hostile_scenario_fields(capsys, tmp_path, fields, diagnostic):

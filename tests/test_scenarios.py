@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from accbft.committee import FaultProfile, threshold_tolerated
 from accbft.scenarios import (
+    _MAX_DEPOSIT_FACTOR,
     RECORD_SCHEMA,
     Scenario,
     ScenarioError,
@@ -273,6 +274,8 @@ _WORDS = (
 )
 # every number may also be huge or non-finite, as JSON files can carry
 _HUGE = st.sampled_from([1e306, 10**400, float("inf"), float("-inf"), float("nan")])
+# ratios are also read from strings
+_HUGE_RATIO = st.sampled_from(["1e400", "10" + "0" * 400 + "/3", "1001", "-1/3"])
 _INT = st.one_of(st.integers(min_value=-3, max_value=40), _HUGE)
 _NUM = st.one_of(_INT, st.floats(min_value=-1.5, max_value=40.5))
 _WORD = st.sampled_from(_WORDS)
@@ -322,7 +325,8 @@ _OVERRIDES = _some_of(
         ),
         "byzantine": _some_of({"garble_p": _NUM, "drop_p": _NUM, "typo": _INT}),
         "deposit": _some_of(
-            {"gain_cap": _INT, "factor": st.one_of(_WORD, _NUM), "blockdepth": _INT,
+            {"gain_cap": _INT, "factor": st.one_of(_WORD, _NUM, _HUGE_RATIO),
+             "blockdepth": _INT,
              "balance": _INT, "typo": _INT}
         ),
     }
@@ -346,14 +350,18 @@ def _merged(base, over):
 
 def _parse_or_diagnose(raw):
     """A scenario file either fails with diagnostics, or builds the network,
-    processes and adversary and draws one delay per link (it never runs)."""
+    processes and adversary, with a bounded deposit pool, and draws one delay
+    per link (it never runs)."""
     try:
         scn = scenario_from_dict(raw)
     except ScenarioError as err:
         assert err.problems
         return
     assert isinstance(scn, Scenario)
-    net = World(scn, 1).net
+    world = World(scn, 1)
+    if world.policy is not None:
+        assert world.policy.pool_target <= _MAX_DEPOSIT_FACTOR * world.policy.gain_cap
+    net = world.net
     for src in net.hosts:
         for dst in net.hosts:
             net.delay(src, dst)

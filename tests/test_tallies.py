@@ -2,21 +2,27 @@
 
 A core is driven through random admissions: plain and certificate-carrying
 estimates, upgrades of estimates first seen without their certificate,
-conflicting sends, phase-2 echoes and broadcast echoes, plus exclusions on
-the core's committee and on a second context's own committee (which changes
-without a committee-version bump).  After every step, the tallies the next
-pump would count with must equal what a recount of the store gives, and
-every grouped view of the store must equal a reference the test keeps from
-the messages offered to the store.
+conflicting sends, phase-2 echoes, certified deliveries (BVREADY), broadcast
+echoes and expired phase timers, plus exclusions on the core's committee and
+on a second context's own committee (which changes without a
+committee-version bump).  After every step:
+
+- a pump that an instance's gate holds back changes nothing;
+- the tallies the next pump would count with equal a recount of the store;
+- every grouped view of the store equals a reference the test keeps from the
+  messages offered to the store;
+- for every message offered, the held mark of the core's store and of a
+  second store that admits the same message objects equals whether that
+  store's slot holds that very object.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from accbft.binary import _AUX_INDEX, dec_bits, enc_bit, enc_bits
+from accbft.binary import _AUX_INDEX, BinaryInstance, dec_bits, enc_bit, enc_bits
 from accbft.broadcast import kind_phase
 from accbft.committee import Committee, mask_members, update_committee
-from accbft.consensus import MultiContext
+from accbft.consensus import MessageStore, MultiContext
 from accbft.crypto import Kind, make_message
 from conftest import fraud_proof, mini_world
 
@@ -38,6 +44,8 @@ ACTIONS = st.one_of(
     ),
     st.tuples(st.just("upgrade"), CTX, st.integers(0, 1), SIGNER),
     st.tuples(st.just("rb_echo"), CTX, BIN, SIGNER, st.sampled_from([b"a", b"b"])),
+    st.tuples(st.just("bvready"), CTX, BIN, st.integers(1, 2), st.integers(0, 1), SIGNER),
+    st.tuples(st.just("timer"), CTX, BIN),
     st.tuples(st.just("exclude"), CTX, st.sampled_from([4, 5]), st.binary(max_size=2)),
 )
 
@@ -67,6 +75,32 @@ def recount_broadcast(inst):
         if inst.committee.is_active(s):
             echoes.setdefault(m.payload, set()).add(s)
     return echoes
+
+
+def progress(inst):
+    """What a pump that acts changes besides the store it emits into."""
+    if isinstance(inst, BinaryInstance):
+        return inst.round, inst.phase, inst.decided
+    return inst.delivered, inst.ready_sent
+
+
+def check_held_back_pumps(ctxs):
+    """A pump the instance's gate would hold back changes nothing.  An open
+    gate's pump runs, as the next dispatch to the instance would run it."""
+    for ctx in ctxs:
+        for inst in (*ctx.bins.values(), *ctx.slots.values()):
+            if inst._stale():
+                inst.pump()
+                continue
+            before = len(inst.core.store.slots), progress(inst)
+            inst.pump()
+            assert (len(inst.core.store.slots), progress(inst)) == before
+
+
+def check_held_marks(offered, stores):
+    for m in offered:
+        for store in stores:
+            assert bool(m._held & store.mark) == (store.slots.get(m.slot()) is m)
 
 
 def check_tallies(ctxs):
@@ -126,12 +160,47 @@ def certificate(reg, iid, kind, r, v, signers):
     )
 
 
+# the round-2 vote's phase-1 timer expires with nothing delivered; a BVREADY
+# certified by bare (so uncounted) round-2 echoes then delivers 0, which alone
+# must release the pump that enters phase 2
+_BVREADY_ALONE = [("timer", 0, 3), ("bvready", 0, 3, 2, 0, 3)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(ACTIONS, max_size=40))
+@example(_BVREADY_ALONE)
+# ...then phase 2's timer expires, and echoes of {0} complete the exit quorum
+@example(_BVREADY_ALONE + [("timer", 0, 3)] + [("echo", 0, 3, 2, b"\x00", s) for s in (2, 3, 4)])
+# three echoes of one broadcast value, then an exclusion on the second
+# context's own committee lowers h to three
+@example([("rb_echo", 1, 2, s, b"a") for s in (2, 3, 4)] + [("exclude", 1, 5, b"")])
 def test_tallies_match_a_recount_after_every_step(actions):
-    _, reg, cores = mini_world(N)
+    net, reg, cores = mini_world(N)
     core = cores[1]
     ref = GroupReference(core.store)
+    # a second store on the same network admits every message object the
+    # core's store is offered, so the two stores' held marks must not mix
+    twin = MessageStore(net.store_mark())
+    offered = []
+    admit = core.store.admit
+
+    def sharing(registry, msg):
+        offered.append(msg)
+        twin.admit(registry, msg)
+        return admit(registry, msg)
+
+    core.store.admit = sharing
+
+    def deliver(msg):
+        offered.extend((msg, *msg.certificate))
+        core.deliver_frame(msg.signer, msg)
+
+    def check():
+        check_held_back_pumps(ctxs)
+        check_tallies(ctxs)
+        ref.check()
+        check_held_marks(offered, (core.store, twin))
+
     side = Committee(initial=tuple(range(1, N + 1)), h0=core.committee.h0)
     ctxs = [MultiContext(core, core.committee, period=0), MultiContext(core, side, period=1)]
     for ctx in ctxs:
@@ -139,8 +208,7 @@ def test_tallies_match_a_recount_after_every_step(actions):
         ctx.bins[2].propose(1)
         ctx.bins[3].propose(0)
         ctx.bins[3]._enter_round(2)
-    check_tallies(ctxs)
-    ref.check()
+    check()
     for action in actions:
         kind, ci = action[0], action[1]
         ctx = ctxs[ci]
@@ -151,8 +219,7 @@ def test_tallies_match_a_recount_after_every_step(actions):
                 reg, iid, cert_kind, r - 1 if r > 1 else 1, v, cert_signers
             )
             payload = enc_bit(1 - v if flip else v)
-            msg = make_message(reg, signer, Kind.BVECHO, iid, r, 1 + v, payload, cert)
-            core.deliver_frame(signer, msg)
+            deliver(make_message(reg, signer, Kind.BVECHO, iid, r, 1 + v, payload, cert))
         elif kind == "upgrade":
             # a round-2 estimate seen bare (inadmissible unless exempt), then
             # again with a full round-1 certificate
@@ -161,17 +228,25 @@ def test_tallies_match_a_recount_after_every_step(actions):
             cert = certificate(reg, iid, "bvecho", 1, v, range(2, N + 1))
             for attached in ((), cert):
                 msg = make_message(reg, signer, Kind.BVECHO, iid, 2, 1 + v, enc_bit(v), attached)
-                core.deliver_frame(signer, msg)
-                check_tallies(ctxs)
-                ref.check()
+                deliver(msg)
+                check()
         elif kind == "echo":
             _, _, src, r, payload, signer = action
-            msg = make_message(reg, signer, Kind.ECHO, ctx.bins[src].iid, r, 2, payload)
-            core.deliver_frame(signer, msg)
+            deliver(make_message(reg, signer, Kind.ECHO, ctx.bins[src].iid, r, 2, payload))
+        elif kind == "bvready":
+            # a delivery certified by every other signer's echo of v
+            _, _, src, r, v, signer = action
+            iid = ctx.bins[src].iid
+            cert = certificate(reg, iid, "bvecho", r, v, range(2, N + 1))
+            deliver(make_message(reg, signer, Kind.BVREADY, iid, r, 1 + v, enc_bit(v), cert))
+        elif kind == "timer":
+            inst = ctx.bins[action[2]]
+            if inst.decided is None:
+                epoch = inst.rounds[inst.round].epoch[inst.phase]
+                inst.on_timer(("bin", inst.iid, inst.round, inst.phase, epoch))
         elif kind == "rb_echo":
             _, _, src, signer, value = action
-            msg = make_message(reg, signer, Kind.ECHO, ctx.slots[src].iid, 1, 1, value)
-            core.deliver_frame(signer, msg)
+            deliver(make_message(reg, signer, Kind.ECHO, ctx.slots[src].iid, 1, 1, value))
         else:
             _, _, accused, salt = action
             pof = fraud_proof(reg, accused, salt)
@@ -181,5 +256,4 @@ def test_tallies_match_a_recount_after_every_step(actions):
                 # membership updates its working committee in place, with no
                 # version bump and no recheck pass
                 update_committee(ctx.committee, [pof])
-        check_tallies(ctxs)
-        ref.check()
+        check()
