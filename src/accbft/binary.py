@@ -108,7 +108,6 @@ class BinaryInstance:
         "core",
         "committee",
         "iid",
-        "cfg",
         "started",
         "est",
         "est_cert",
@@ -123,11 +122,10 @@ class BinaryInstance:
         "_due",
     )
 
-    def __init__(self, core, committee: Committee, iid, cfg):
+    def __init__(self, core, committee: Committee, iid):
         self.core = core
         self.committee = committee
         self.iid = iid
-        self.cfg = cfg
         self.started = False
         self.est: Optional[int] = None
         self.est_cert: tuple = ()
@@ -228,7 +226,7 @@ class BinaryInstance:
         """Distinct other supporters of a value that make this process echo
         it too."""
         com = self.committee
-        profile = self.cfg.profile
+        profile = self.core.cfg.profile
         return max(1, (com.n0 - profile.q - profile.t) // 2 - com.d_r)
 
     def _support(self, r: int, v: int) -> int:

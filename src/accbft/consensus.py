@@ -4,7 +4,11 @@ the multi-valued context that ties n broadcast slots to n binary votes.
 A NodeCore is the single owning actor for one simulated process.  The network
 hands it frames and timer callbacks; it verifies signatures, admits messages
 into a shared store (where duplicate-slot payload conflicts become fraud
-proofs), and routes them into per-instance state machines.  Set-exchange
+proofs), and routes them into per-instance state machines.  Routing is one
+table, ``NodeCore.routes``, from instance id to (context, instance): every
+message belongs to exactly one broadcast slot, binary vote or confirmation
+echo, and context keys are unique per core, so the tally, the dispatch, the
+timers and the instance callbacks each take one lookup.  Set-exchange
 bundles, certificate cross-checks, and exclusion recounts all read from that
 one store, which is what makes accountability automatic: any certificate that
 crosses a partition is taken apart and checked against what we stored locally.
@@ -189,8 +193,10 @@ class NodeCore:
         self.net = adapter
         self.store = MessageStore(adapter.net.store_mark())
         self.metrics = CoreMetrics()
-        self.committee_version = 0
         self.contexts: dict[tuple, "MultiContext"] = {}
+        # every instance id a context owns -> (context, instance); the
+        # confirmation echo's id maps to (context, None)
+        self.routes: dict[InstanceId, tuple["MultiContext", object]] = {}
         self._seen_bundles: set[bytes] = set()
         # hooks wired by the membership layer / scenario drivers
         self.on_new_pofs: Optional[Callable] = None  # (fresh_pofs, newly_excluded)
@@ -244,19 +250,28 @@ class NodeCore:
         by its instance's tallies, before anything is dispatched."""
         status, pof = self.store.admit(self.registry, msg)
         if status == "new" or status == "upgraded":
-            ctx = self.context_for(msg.instance)
-            if ctx is not None:
-                ctx.tally(msg)
+            route = self.routes.get(msg.instance)
+            if route is not None and route[1] is not None:
+                route[1].tally(msg)
         return status, pof
 
     # ---------------------------------------------------------------- routing
 
     def register_context(self, ctx: "MultiContext") -> None:
-        self.contexts[ctx.key] = ctx
-        ctx.replay()
+        """Route the context's instance ids to it, then replay what the store
+        already holds for them (messages that arrived before the context).
 
-    def context_for(self, iid: InstanceId) -> Optional["MultiContext"]:
-        return self.contexts.get((iid[0], iid[1], iid[2]))
+        Context keys are unique per core (a (height, attempt, group) is built
+        once), so no routed id is ever taken over by a later context.
+        """
+        self.contexts[ctx.key] = ctx
+        routed = [(i.iid, i) for i in (*ctx.slots.values(), *ctx.bins.values())]
+        routed.append((ctx.confirm_iid, None))
+        for iid, inst in routed:
+            self.routes[iid] = (ctx, inst)
+        for iid, _ in routed:
+            for m in self.store.instance_msgs(iid):
+                self._dispatch(m)
 
     def deliver_frame(self, src: int, msg: SignedMessage) -> None:
         self.metrics.frames += 1
@@ -314,19 +329,20 @@ class NodeCore:
         return status
 
     def _dispatch(self, m: SignedMessage) -> None:
-        ctx = self.context_for(m.instance)
-        if ctx is not None and not ctx.stopped:
-            ctx.dispatch(m)
+        route = self.routes.get(m.instance)
+        if route is None or route[0].stopped:
+            return
+        ctx, inst = route
+        if inst is not None:
+            inst.on_message(m)
+        elif m.kind == Kind.ECHO:
+            ctx._eval_confirm()
 
     def on_timer(self, key: tuple) -> None:
-        """An instance timer: key is ("bin" | "rb", instance id, ...)."""
-        iid = key[1]
-        ctx = self.context_for(iid)
-        if ctx is None or ctx.stopped:
-            return
-        inst = (ctx.bins if key[0] == "bin" else ctx.slots).get(iid[4])
-        if inst is not None:
-            inst.on_timer(key)
+        """An instance timer: key[1] is the instance id."""
+        route = self.routes.get(key[1])
+        if route is not None and not route[0].stopped:
+            route[1].on_timer(key)
 
     # ---------------------------------------------------- fraud-proof intake
 
@@ -343,8 +359,6 @@ class NodeCore:
                 pofs=tuple(stored),
             )
             self.emit(env, self.committee, store_own=False)
-        if newly:
-            self.committee_version += 1
         if stored or newly:
             if self.on_new_pofs is not None:
                 self.on_new_pofs(stored, newly)
@@ -354,14 +368,14 @@ class NodeCore:
     # ------------------------------------------------- instance callbacks
 
     def rb_delivered(self, iid: InstanceId, source: int, value: bytes) -> None:
-        ctx = self.context_for(iid)
-        if ctx is not None and not ctx.stopped:
-            ctx.on_slot_delivered(source, value)
+        route = self.routes.get(iid)
+        if route is not None and not route[0].stopped:
+            route[0].on_slot_delivered(source, value)
 
     def instance_decided(self, iid: InstanceId, value: int, round: int) -> None:
-        ctx = self.context_for(iid)
-        if ctx is not None and not ctx.stopped:
-            ctx.on_bin_decided(iid[4], value, round)
+        route = self.routes.get(iid)
+        if route is not None and not route[0].stopped:
+            route[0].on_bin_decided(iid[4], value, round)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +470,7 @@ class MultiContext:
             b_iid = (period, attempt, group, CHAN_BCAST, src)
             v_iid = (period, attempt, group, CHAN_BINARY, src)
             self.slots[src] = BroadcastInstance(core, committee, b_iid, src)
-            self.bins[src] = BinaryInstance(core, committee, v_iid, core.cfg)
+            self.bins[src] = BinaryInstance(core, committee, v_iid)
         self.confirm_iid: InstanceId = (period, attempt, group, CHAN_CONFIRM, 0)
         self.delivered: dict[int, bytes] = {}
         self.bits: dict[int, int] = {}
@@ -477,38 +491,6 @@ class MultiContext:
 
     def stop(self) -> None:
         self.stopped = True
-
-    def replay(self) -> None:
-        """Feed messages that arrived before this context existed."""
-        store = self.core.store
-        for inst in self.slots.values():
-            for m in list(store.instance_msgs(inst.iid)):
-                inst.on_message(m)
-        for inst in self.bins.values():
-            for m in list(store.instance_msgs(inst.iid)):
-                inst.on_message(m)
-        for m in list(store.instance_msgs(self.confirm_iid)):
-            self.on_confirm_message(m)
-
-    def _instance(self, iid: InstanceId):
-        chan, idx = iid[3], iid[4]
-        if chan == CHAN_BCAST:
-            return self.slots.get(idx)
-        if chan == CHAN_BINARY:
-            return self.bins.get(idx)
-        return None
-
-    def tally(self, m: SignedMessage) -> None:
-        inst = self._instance(m.instance)
-        if inst is not None:
-            inst.tally(m)
-
-    def dispatch(self, m: SignedMessage) -> None:
-        inst = self._instance(m.instance)
-        if inst is not None:
-            inst.on_message(m)
-        elif m.instance[3] == CHAN_CONFIRM:
-            self.on_confirm_message(m)
 
     # -------------------------------------------------------------- progress
 
@@ -579,11 +561,6 @@ class MultiContext:
             Kind.ECHO, self.confirm_iid, 1, 1, self.decision, cert
         )
         self.core.emit(msg, self.committee)
-        self._eval_confirm()
-
-    def on_confirm_message(self, m: SignedMessage) -> None:
-        if m.kind != Kind.ECHO or m.instance != self.confirm_iid:
-            return
         self._eval_confirm()
 
     def _valid_foreign_cert(self, cert: tuple) -> bool:

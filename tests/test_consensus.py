@@ -184,11 +184,13 @@ def test_pof_list_delivery_excludes_the_accused():
     assert core.committee.is_active(3)
     core.deliver_frame(2, envelope)
     assert not core.committee.is_active(3)
-    assert core.committee_version == 1
+    assert core.committee.d_r == 1
     assert core.metrics.pofs_recorded == 1
-    # same proof again: no further version bump
+    # same proof again: nothing new is recorded or excluded
     core.deliver_frame(2, envelope)
-    assert core.committee_version == 1
+    assert not core.committee.is_active(3)
+    assert core.committee.d_r == 1
+    assert core.metrics.pofs_recorded == 1
 
 
 def test_conflicting_sends_convict_on_arrival():

@@ -215,19 +215,27 @@ def test_trace_capture_is_opt_in():
 
 
 # canonical_record digests for seed 1, taken before quorum counting became
-# incremental; any refactor of the consensus core must reproduce them.
+# incremental; any refactor of the consensus core must reproduce them.  The
+# llb entry runs detect -> exclude -> include -> catch-up, so it also pins
+# which messages and timers a stopped context still acts on.
 GOLDEN_RECORDS = {
     "clean-n4-h2": "780487c3a5d1c95a7f1897e6c2c306f3edd312265a48e91af3ad3c5476075198",
     "fork-binary-ledger-n9": "887141efebabd6cfd5a3e4bdbcb6d24f6ad2162bbb8f46398e0f7d31e00c31b4",
+    "llb-n9-h4": "d0ee5d00202926dab9ece1c5128345d78ba7325a084919ceed15b39489da12cf",
 }
 
 
 def test_golden_records_are_unchanged(clean_record):
     path = Path(__file__).resolve().parent.parent / "scenarios" / "fork-binary-ledger-n9.json"
     fork_record = run_scenario(load_scenario(path), 1).record
+    llb_record = run_scenario(llb_scenario(heights=4), 1).record
     got = {
         name: hashlib.sha256(canonical_record(rec).encode()).hexdigest()
-        for name, rec in (("clean-n4-h2", clean_record), ("fork-binary-ledger-n9", fork_record))
+        for name, rec in (
+            ("clean-n4-h2", clean_record),
+            ("fork-binary-ledger-n9", fork_record),
+            ("llb-n9-h4", llb_record),
+        )
     }
     assert got == GOLDEN_RECORDS
 
