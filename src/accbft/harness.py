@@ -108,21 +108,28 @@ CSV_COLUMNS = (
 )
 
 
+# Most seeds one `run --seeds` list or `suite --seeds` count may name; far
+# above the 200 of the largest suite, and checked before anything is expanded.
+MAX_SEEDS = 100_000
+
+
 def parse_seeds(text: str) -> list[int]:
     """Expand a seed list: "7", "1..5", "1,4,9..11" -> sorted unique ints."""
     seeds: set[int] = set()
+    named = 0
     for part in text.split(","):
         part = part.strip()
         if not part:
             raise ValueError("empty seed entry")
-        if ".." in part:
-            lo, _, hi = part.partition("..")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError("seed range %s is reversed" % part)
-            seeds.update(range(lo, hi + 1))
-        else:
-            seeds.add(int(part))
+        lo, _, hi = part.partition("..")
+        lo = int(lo)
+        hi = int(hi) if ".." in part else lo
+        if hi < lo:
+            raise ValueError("seed range %s is reversed" % part)
+        named += hi - lo + 1
+        if named > MAX_SEEDS:
+            raise ValueError("seed list names more than %d seeds" % MAX_SEEDS)
+        seeds.update(range(lo, hi + 1))
     return sorted(seeds)
 
 
@@ -220,17 +227,26 @@ def _run_task(task: tuple[Scenario, int, bool]) -> tuple[dict, Optional[list]]:
 
 
 def _run_batch(
-    tasks: list[tuple[Scenario, int, bool]], jobs: int
+    tasks: list[tuple[Scenario, int, bool]]
 ) -> list[tuple[dict, Optional[list]]]:
-    """Run (scenario, seed) tasks, optionally in parallel over seeds.
+    """Run (scenario, seed, trace) tasks on one worker per usable CPU.
 
-    Each run is an isolated single-threaded simulation; results keep the
-    submission order regardless of worker scheduling.
+    Each run is an isolated single-threaded simulation.  Workers take one
+    run at a time and results keep the submission order, so a batch gives
+    the same records however many workers it gets; with fewer than two it
+    runs in-process.
     """
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(_run_task, tasks)
-    return [_run_task(t) for t in tasks]
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    if workers < 2:
+        return [_run_task(t) for t in tasks]
+    with multiprocessing.Pool(workers) as pool:
+        return pool.map(_run_task, tasks, chunksize=1)
+
+
+def run_records(pairs: Iterable[tuple[Scenario, int]]) -> list[dict]:
+    """Records of (scenario, seed) runs, in order, as one batch."""
+    tasks = [(scn, seed, False) for scn, seed in pairs]
+    return [record for record, _ in _run_batch(tasks)]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -253,7 +269,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             tasks.append((scn, seed, args.trace))
 
     os.makedirs(outdir, exist_ok=True)
-    results = _run_batch(tasks, args.jobs)
+    results = _run_batch(tasks)
 
     rows, lines, violated = [], [], False
     for (scn, seed, _), (record, trace) in zip(tasks, results):
@@ -316,39 +332,40 @@ FORK_KINDS = ("broadcast-fork", "binary-fork")
 
 
 def agreement_records(seeds: int) -> list[dict]:
-    records = []
-    for n in AGREEMENT_SIZES:
-        for seed in range(1, seeds + 1):
-            t, d, q = pick_profile(n, seed)
-            records.append(run_scenario(agreement_scenario(n, t, d, q), seed).record)
-    return records
+    return run_records(
+        (agreement_scenario(n, *pick_profile(n, seed)), seed)
+        for n in AGREEMENT_SIZES
+        for seed in range(1, seeds + 1)
+    )
 
 
-def _seeded(scn: Scenario, seeds: int) -> list[dict]:
-    return [run_scenario(scn, seed).record for seed in range(1, seeds + 1)]
+def _seeded(scns: list[Scenario], seeds: int) -> list[list[dict]]:
+    """Seeds 1..seeds of every scenario as one batch, split per scenario."""
+    records = run_records((scn, seed) for scn in scns for seed in range(1, seeds + 1))
+    return [records[i * seeds : (i + 1) * seeds] for i in range(len(scns))]
 
 
 def spam_records(seeds: int) -> list[dict]:
-    return _seeded(spam_scenario(), seeds)
+    return _seeded([spam_scenario()], seeds)[0]
 
 
 def fork_records(seeds: int) -> dict[str, list[dict]]:
-    return {kind: _seeded(fork_scenario(kind), seeds) for kind in FORK_KINDS}
+    return dict(zip(FORK_KINDS, _seeded([fork_scenario(k) for k in FORK_KINDS], seeds)))
 
 
 def llb_records(seeds: int) -> list[dict]:
-    return _seeded(llb_scenario(), seeds)
+    return _seeded([llb_scenario()], seeds)[0]
 
 
 COMPLEXITY_SIZES = (4, 10, 20, 40)
 
 
 def complexity_means(seeds: int) -> dict[int, float]:
-    means = {}
-    for n in COMPLEXITY_SIZES:
-        records = _seeded(complexity_scenario(n), seeds)
-        means[n] = sum(r["msgs_per_binary_instance"] for r in records) / seeds
-    return means
+    batches = _seeded([complexity_scenario(n) for n in COMPLEXITY_SIZES], seeds)
+    return {
+        n: sum(r["msgs_per_binary_instance"] for r in records) / seeds
+        for n, records in zip(COMPLEXITY_SIZES, batches)
+    }
 
 
 def _terminated(record: dict) -> bool:
@@ -592,10 +609,12 @@ def suite_agreement(seeds: int) -> list[Check]:
 
 
 def suite_attack(seeds: int) -> list[Check]:
-    spam, forks = spam_records(seeds), fork_records(seeds)
-    attack_runs = spam + [r for kind in FORK_KINDS for r in forks[kind]]
+    spam, *forks = _seeded(
+        [spam_scenario()] + [fork_scenario(k) for k in FORK_KINDS], seeds
+    )
+    attack_runs = spam + [r for records in forks for r in records]
     return [check_spam(spam), check_branch_bound(attack_runs)] + [
-        check_accountability(kind, forks[kind]) for kind in FORK_KINDS
+        check_accountability(kind, records) for kind, records in zip(FORK_KINDS, forks)
     ]
 
 
@@ -704,10 +723,12 @@ def _fraction(text: str) -> Fraction:
     return as_fraction(text)
 
 
-def _positive_int(text: str) -> int:
+def _seed_count(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer, got %d" % value)
+    if not 1 <= value <= MAX_SEEDS:
+        raise argparse.ArgumentTypeError(
+            "must be an integer in [1, %d], got %d" % (MAX_SEEDS, value)
+        )
     return value
 
 
@@ -737,9 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--out", default=None, help="output file stem")
     run.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers over seeds"
-    )
-    run.add_argument(
         "--trace", action="store_true", help="dump per-run JSON-lines event logs"
     )
     run.set_defaults(func=cmd_run)
@@ -747,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite = sub.add_parser("suite", help="run a named check suite")
     suite.add_argument("name", choices=sorted(SUITES))
     suite.add_argument(
-        "--seeds", type=_positive_int, default=None,
+        "--seeds", type=_seed_count, default=None,
         help="seeds per scenario (suite default)",
     )
     suite.set_defaults(func=cmd_suite)

@@ -27,7 +27,7 @@ from math import ceil
 from typing import Iterable, Optional
 
 from .analysis import as_fraction
-from .committee import Committee, FaultProfile, default_h0
+from .committee import Committee, FaultProfile, default_h0, threshold_tolerated
 from .consensus import NetAdapter, NodeCore, ProtoConfig, decode_value_set
 from .crypto import CHAN_BINARY, KeyRegistry
 from .ledger import (
@@ -1027,13 +1027,14 @@ def clean_scenario(
 def tolerated_profiles(n: int, h0: Optional[int] = None) -> list[tuple[int, int, int]]:
     """Every (t, d, q) this threshold provably rides out."""
     h = h0 if h0 is not None else default_h0(n)
-    out = []
-    for t in range(n + 1):
-        for d in range(n + 1):
-            for q in range(n + 1):
-                if t + d + q <= n and d + t < 2 * h - n and q + t <= n - h:
-                    out.append((t, d, q))
-    return out
+    return [
+        (t, d, q)
+        for t in range(n + 1)
+        for d in range(n + 1)
+        for q in range(n + 1)
+        if t + d + q <= n
+        and threshold_tolerated(FaultProfile(n, t, d, q), h) == (True, True)
+    ]
 
 
 def agreement_scenario(

@@ -3,9 +3,10 @@
 Every test prints a single PASS line with its headline numbers (run pytest
 with -s to watch them stream).  Criteria 01-05, 07, 08 and 10 apply the check
 functions that `accbft suite` runs, so each bound has one definition in
-accbft.harness; criteria 06, 09 and 11 have no suite twin.  The whole test
-suite took 300 s on a 2-vCPU VM, 198 s of it in the message-growth sweep of
-criterion 10.  Criteria 02, 08 and 10 are marked slow.
+accbft.harness; criteria 06, 09 and 11 have no suite twin.  The seeded
+batches run on one worker process per CPU.  The whole test suite took 171 s
+on a 2-vCPU VM, 97 s of it in the message-growth sweep of criterion 10, 23 s
+in criterion 02 and 21 s in criterion 08.  Those three are marked slow.
 """
 
 import random

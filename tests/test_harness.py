@@ -23,6 +23,7 @@ from accbft.harness import (
 )
 from accbft.scenarios import (
     Scenario,
+    canonical_record,
     clean_scenario,
     fork_scenario,
     run_scenario,
@@ -62,6 +63,9 @@ def test_parse_seeds_rejects_garbage():
         parse_seeds("1,,2")
     with pytest.raises(ValueError):
         parse_seeds("forty")
+    with pytest.raises(ValueError, match="more than 100000 seeds"):
+        parse_seeds("1..100001")
+    assert len(parse_seeds("1..100000")) == harness.MAX_SEEDS
 
 
 # -- rows and files ---------------------------------------------------------
@@ -191,16 +195,46 @@ def test_run_writes_csv_and_jsonl(capsys, tmp_path):
     assert json.loads(jsonl[0])["seed"] == 1
 
 
-def test_run_parallel_matches_serial(capsys, tmp_path):
-    path = write_scenario(tmp_path, clean_scenario(4, heights=2))
-    for jobs, stem in (("1", "serial"), ("2", "parallel")):
-        code, _, _ = run_cli(
-            capsys, "run", "--scenario", path, "--seeds", "1..4",
-            "--jobs", jobs, "--outdir", str(tmp_path), "--out", stem,
-        )
-        assert code == EX_OK
-    serial = (tmp_path / "serial.csv").read_bytes()
-    assert serial == (tmp_path / "parallel.csv").read_bytes()
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Make the batch runner see two CPUs, so it takes the pool path."""
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_batch_runner_matches_in_process_runs(capsys, tmp_path, two_workers):
+    clean = clean_scenario(4, heights=2)
+    pairs = [(clean, 1), (clean, 2), (clean, 3)]
+    pairs += [(spam_scenario(), 1), (fork_scenario("binary-fork"), 1)]
+    batch = harness.run_records(pairs)
+    in_process = [run_scenario(scn, seed).record for scn, seed in pairs]
+    assert [canonical_record(r) for r in batch] == [
+        canonical_record(r) for r in in_process
+    ]
+
+    path = write_scenario(tmp_path, clean)
+    code, _, _ = run_cli(
+        capsys, "run", "--scenario", path, "--seeds", "1..4",
+        "--outdir", str(tmp_path), "--out", "batch",
+    )
+    assert code == EX_OK
+    rows = [record_to_row(run_scenario(clean, seed).record) for seed in range(1, 5)]
+    write_csv(tmp_path / "in-process.csv", rows)
+    assert (tmp_path / "batch.csv").read_bytes() == (
+        tmp_path / "in-process.csv"
+    ).read_bytes()
+
+
+def test_suite_attack_checks_match_in_process_records(two_workers):
+    spam = [run_scenario(spam_scenario(), seed).record for seed in (1, 2)]
+    forks = {
+        kind: [run_scenario(fork_scenario(kind), seed).record for seed in (1, 2)]
+        for kind in harness.FORK_KINDS
+    }
+    attack_runs = spam + [r for records in forks.values() for r in records]
+    want = [harness.check_spam(spam), harness.check_branch_bound(attack_runs)] + [
+        harness.check_accountability(kind, records) for kind, records in forks.items()
+    ]
+    assert harness.suite_attack(2) == want
 
 
 def test_run_honours_the_outdir_env(capsys, tmp_path, monkeypatch):
@@ -367,10 +401,23 @@ def test_suite_attack_small_batch(capsys):
         ("membership", "--seeds", "0"),
         ("attack", "--seeds", "-3"),
         ("attack", "--seeds", "many"),
+        ("agreement", "--seeds", str(10**12)),
+        ("complexity", "--seeds", str(harness.MAX_SEEDS + 1)),
     ],
 )
 def test_suite_rejects_non_positive_seed_counts(capsys, argv):
     code, out, err = run_cli(capsys, "suite", *argv)
+    assert code == EX_USAGE
+    assert out == ""
+    assert "--seeds" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["1..1000000000000", "1..60000,70000..130000"])
+def test_run_rejects_seed_lists_over_the_cap(capsys, tmp_path, spec):
+    path = write_scenario(tmp_path, clean_scenario(4))
+    code, out, err = run_cli(
+        capsys, "run", "--scenario", path, "--seeds", spec, "--outdir", str(tmp_path)
+    )
     assert code == EX_USAGE
     assert out == ""
     assert "--seeds" in err and "Traceback" not in err
