@@ -732,6 +732,13 @@ def _seed_count(text: str) -> int:
     return value
 
 
+def _seed_list(text: str) -> list[int]:
+    try:
+        return parse_seeds(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _int_range(text: str) -> range:
     lo, _, hi = text.partition("..")
     if int(hi) < int(lo):
@@ -749,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario JSON (repeatable)",
     )
     run.add_argument(
-        "--seeds", type=parse_seeds, default=None, metavar="SPEC",
+        "--seeds", type=_seed_list, default=None, metavar="SPEC",
         help='seed list, e.g. "7", "1..5", "1,3,9..11" (default: scenario file)',
     )
     run.add_argument(

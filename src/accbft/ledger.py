@@ -64,23 +64,36 @@ class Transaction:
     outputs: tuple[TxOutput, ...]
     signature: bytes = b""
 
+    # Caches of payload_encoding() and digest().  init=False keeps them out
+    # of dataclasses.replace, so a copy with new fields starts empty.
+    _payload: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+
     def payload_encoding(self) -> bytes:
-        parts = [struct.pack(">IIH", self.issuer, self.seq, len(self.inputs))]
-        for inp in self.inputs:
-            assert len(inp.source) == 32, "input refs are sha-256 digests"
-            parts.append(inp.source)
-            parts.append(struct.pack(">IQ", inp.index, inp.value))
-        parts.append(struct.pack(">H", len(self.outputs)))
-        for out in self.outputs:
-            parts.append(struct.pack(">IQ", out.account, out.value))
-        return b"".join(parts)
+        enc = self._payload
+        if enc is None:
+            parts = [struct.pack(">IIH", self.issuer, self.seq, len(self.inputs))]
+            for inp in self.inputs:
+                assert len(inp.source) == 32, "input refs are sha-256 digests"
+                parts.append(inp.source)
+                parts.append(struct.pack(">IQ", inp.index, inp.value))
+            parts.append(struct.pack(">H", len(self.outputs)))
+            for out in self.outputs:
+                parts.append(struct.pack(">IQ", out.account, out.value))
+            enc = b"".join(parts)
+            object.__setattr__(self, "_payload", enc)
+        return enc
 
     def encoding(self) -> bytes:
         body = self.payload_encoding()
         return body + struct.pack(">H", len(self.signature)) + self.signature
 
     def digest(self) -> bytes:
-        return hashlib.sha256(self.payload_encoding()).digest()
+        d = self._digest
+        if d is None:
+            d = hashlib.sha256(self.payload_encoding()).digest()
+            object.__setattr__(self, "_digest", d)
+        return d
 
     def output_total(self) -> int:
         return sum(o.value for o in self.outputs)
@@ -90,7 +103,11 @@ class Transaction:
 
 
 def sign_tx(registry: KeyRegistry, tx: Transaction) -> Transaction:
-    return replace(tx, signature=registry.sign(tx.issuer, tx.payload_encoding()))
+    payload = tx.payload_encoding()
+    signed = replace(tx, signature=registry.sign(tx.issuer, payload))
+    # the signature lies outside the payload, so the payload cache carries over
+    object.__setattr__(signed, "_payload", payload)
+    return signed
 
 
 def tx_valid(registry: KeyRegistry, tx: Transaction, *, last_seq: int = -1) -> bool:
@@ -107,6 +124,7 @@ def tx_valid(registry: KeyRegistry, tx: Transaction, *, last_seq: int = -1) -> b
 
 
 def _decode_tx(blob: bytes, off: int) -> tuple[Transaction, int]:
+    start = off
     issuer, seq, n_in = struct.unpack_from(">IIH", blob, off)
     off += 10
     inputs = []
@@ -125,14 +143,13 @@ def _decode_tx(blob: bytes, off: int) -> tuple[Transaction, int]:
         outputs.append(TxOutput(account, value))
         off += 12
     (siglen,) = struct.unpack_from(">H", blob, off)
-    off += 2
-    sig = blob[off : off + siglen]
+    sig = blob[off + 2 : off + 2 + siglen]
     if len(sig) != siglen:
         raise ValueError("truncated signature")
-    return (
-        Transaction(issuer, seq, tuple(inputs), tuple(outputs), sig),
-        off + siglen,
-    )
+    tx = Transaction(issuer, seq, tuple(inputs), tuple(outputs), sig)
+    # fixed-width fields: the payload bytes are exactly what encoding would give
+    object.__setattr__(tx, "_payload", blob[start:off])
+    return tx, off + 2 + siglen
 
 
 GENESIS_PARENT = bytes(32)
@@ -145,18 +162,30 @@ class Block:
     proposer: int
     txs: tuple[Transaction, ...]
 
+    # Caches of encoding() and digest(), as on Transaction.
+    _encoding: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+
     def encoding(self) -> bytes:
-        assert len(self.parent) == 32
-        parts = [struct.pack(">II", self.height, self.proposer), self.parent]
-        parts.append(struct.pack(">I", len(self.txs)))
-        for tx in self.txs:
-            enc = tx.encoding()
-            parts.append(struct.pack(">I", len(enc)))
-            parts.append(enc)
-        return b"".join(parts)
+        enc = self._encoding
+        if enc is None:
+            assert len(self.parent) == 32
+            parts = [struct.pack(">II", self.height, self.proposer), self.parent]
+            parts.append(struct.pack(">I", len(self.txs)))
+            for tx in self.txs:
+                tx_enc = tx.encoding()
+                parts.append(struct.pack(">I", len(tx_enc)))
+                parts.append(tx_enc)
+            enc = b"".join(parts)
+            object.__setattr__(self, "_encoding", enc)
+        return enc
 
     def digest(self) -> bytes:
-        return hashlib.sha256(self.encoding()).digest()
+        d = self._digest
+        if d is None:
+            d = hashlib.sha256(self.encoding()).digest()
+            object.__setattr__(self, "_digest", d)
+        return d
 
 
 def decode_block(blob: bytes) -> Block:
@@ -180,7 +209,9 @@ def decode_block(blob: bytes) -> Block:
         off = end
     if off != len(blob):
         raise ValueError("trailing bytes after block")
-    return Block(height, parent, proposer, tuple(txs))
+    block = Block(height, parent, proposer, tuple(txs))
+    object.__setattr__(block, "_encoding", bytes(blob))
+    return block
 
 
 def gain_of_block(block: Block) -> int:
@@ -284,9 +315,6 @@ class LedgerState:
         other.utxos = dict(self.utxos)
         other.blocks = list(self.blocks)
         return other
-
-    def balance(self, account: int) -> int:
-        return sum(o.value for o in self.utxos.values() if o.account == account)
 
     def merge_tx(self, tx: Transaction, report: Optional[MergeReport] = None) -> bool:
         """Commit one transaction unconditionally (skip if already known).
@@ -399,30 +427,32 @@ def synthetic_transactions(
     max_value: int = 100,
     recipients: Optional[Sequence[int]] = None,
 ) -> list[Transaction]:
-    """Generate ``count`` valid transactions against a scratch copy of state.
+    """Generate ``count`` valid transactions spending the issuers' coins in state.
 
     Issuers rotate round-robin; each spends one of its own unspent outputs to
     a random peer (drawn from ``recipients``, default the issuers) with change
     back to itself, so later transactions can chain on earlier ones.  ``seqs``
     (issuer -> last used seq) is advanced in place when given, letting callers
-    extend a stream across calls.
+    extend a stream across calls.  ``state`` is left untouched: the batch
+    tracks only the issuers' own unspent outputs, as merging each transaction
+    into a copy of ``state`` would leave them.
     """
-    scratch = state.clone()
     if seqs is None:
         seqs = {}
     if recipients is None:
         recipients = issuers
+    coins: dict[int, dict[Ref, TxOutput]] = {issuer: {} for issuer in issuers}
+    for ref, out in state.utxos.items():
+        if out.account in coins:
+            coins[out.account][ref] = out
     made: list[Transaction] = []
     for k in range(count):
         issuer = issuers[k % len(issuers)]
-        owned = sorted(
-            (r for r, o in scratch.utxos.items() if o.account == issuer),
-            key=lambda r: (r[0], r[1]),
-        )
+        owned = sorted(coins[issuer])
         if not owned:
             continue  # broke until change comes back
         ref = owned[rng.randrange(len(owned))]
-        coin = scratch.utxos[ref]
+        coin = coins[issuer][ref]
         recipient = recipients[rng.randrange(len(recipients))]
         spend = rng.randint(1, min(max_value, coin.value))
         outputs = [TxOutput(recipient, spend)]
@@ -438,6 +468,12 @@ def synthetic_transactions(
                 outputs=tuple(outputs),
             ),
         )
-        scratch.merge_tx(tx)
         made.append(tx)
+        digest = tx.digest()
+        if digest in state.txs:
+            continue  # merge_tx would skip a known transaction
+        del coins[issuer][ref]
+        for idx, out in enumerate(tx.outputs):
+            if out.account in coins:
+                coins[out.account][(digest, idx)] = out
     return made

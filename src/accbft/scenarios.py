@@ -603,6 +603,10 @@ class World:
         self._base_state: Optional[LedgerState] = None
         self.ledgers: dict[int, LedgerState] = {}
         self._seqs: dict = {}
+        # blob -> (decoded block or None, stateless validity), see _block_entry
+        self._blocks: dict[bytes, tuple] = {}
+        self._blocks_old: dict[bytes, tuple] = {}
+        self._blocks_low = 0
         if scn.payload == "ledger":
             dep = scn.deposit or {}
             self.policy = DepositPolicy(
@@ -695,24 +699,56 @@ class World:
         if pid in self.roles.honest:
             self._watch_detection(pid, core, proc)
 
+    def _block_entry(self, blob: bytes) -> tuple[Optional[Block], bool]:
+        """The decoded block (None if it does not decode) and whether it
+        passes the checks that read no process state: the gain cap and each
+        transaction's ``tx_valid``.
+
+        Every process shares the entry, so a blob is decoded and checked once
+        while it stays in the table (see ``_age_blocks``); a later miss only
+        decodes it again.
+        """
+        entry = self._blocks.get(blob)
+        if entry is None:
+            entry = self._blocks_old.pop(blob, None)
+            if entry is None:
+                try:
+                    blk = decode_block(blob)
+                except ValueError:
+                    entry = (None, False)
+                else:
+                    entry = (
+                        blk,
+                        within_gain_cap(blk, self.policy)
+                        and all(tx_valid(self.registry, tx) for tx in blk.txs),
+                    )
+            self._blocks[blob] = entry
+        return entry
+
+    def _age_blocks(self) -> None:
+        """Start a new table generation when the lowest honest height rises.
+
+        A blob's claimed height is chosen by its proposer, so only the honest
+        processes' own progress may retire an entry.
+        """
+        low = min((self.procs[p].height for p in self.roles.honest), default=0)
+        if low > self._blocks_low:
+            self._blocks_low = low
+            self._blocks_old = self._blocks
+            self._blocks = {}
+
     def _block_validator(self, proc: AsmrProcess):
         def valid(src: int, value: bytes) -> bool:
-            try:
-                blk = decode_block(value)
-            except ValueError:
-                return False
-            if blk.proposer != src or blk.height != proc.height + 1:
-                return False
-            if not within_gain_cap(blk, self.policy):
-                return False
-            return all(tx_valid(self.registry, tx) for tx in blk.txs)
+            blk, ok = self._block_entry(value)
+            return ok and blk.proposer == src and blk.height == proc.height + 1
 
         return valid
 
     def _make_block_applier(self, ledger: LedgerState):
         def apply(proc: AsmrProcess, rec: dict) -> None:
             for blob in self._decision_blocks(rec["block"]):
-                ledger.merge_block(decode_block(blob))
+                ledger.merge_block(self._block_entry(blob)[0])
+            self._age_blocks()
 
         return apply
 
@@ -775,18 +811,22 @@ class World:
         on seeing the other branch, which is what realises the deposit flux:
         double-spent inputs get bought from the deposit, refunds recover what
         later turns out spendable, and accounts with proofs of fraud against
-        them forfeit their outputs back into the pool.
+        them forfeit their outputs back into the pool.  Each replica first
+        punishes the accounts it holds proofs against, then merges the
+        distinct decided blobs in sorted order; each blob is decoded once and
+        the one block is merged into every replica.
         """
         blobs: set[bytes] = set()
         for pid in self.roles.honest:
             for rec in self.procs[pid].chain:
                 blobs.update(self._decision_blocks(rec["block"]))
+        blocks = [decode_block(blob) for blob in sorted(blobs)]
         for pid in self.roles.honest:
             ledger = self.ledgers[pid]
             for accused in sorted({p.accused for p in self.procs[pid].pofs.values()}):
                 ledger.punish_account(accused)
-            for blob in sorted(blobs):
-                ledger.merge_block(decode_block(blob))
+            for block in blocks:
+                ledger.merge_block(block)
 
     # -- measurement -------------------------------------------------------------
 

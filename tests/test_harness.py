@@ -421,6 +421,17 @@ def test_run_rejects_seed_lists_over_the_cap(capsys, tmp_path, spec):
     assert code == EX_USAGE
     assert out == ""
     assert "--seeds" in err and "Traceback" not in err
+    assert "more than %d seeds" % harness.MAX_SEEDS in err
+
+
+def test_run_says_why_a_seed_range_is_rejected(capsys, tmp_path):
+    path = write_scenario(tmp_path, clean_scenario(4))
+    code, out, err = run_cli(
+        capsys, "run", "--scenario", path, "--seeds", "5..1", "--outdir", str(tmp_path)
+    )
+    assert code == EX_USAGE
+    assert out == ""
+    assert "--seeds" in err and "reversed" in err and "Traceback" not in err
 
 
 # -- check functions ----------------------------------------------------------

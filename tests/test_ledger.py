@@ -1,6 +1,8 @@
 """Merge-not-reject ledger: codecs, deposit accounting, branch totality."""
 
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from accbft.ledger import (
     Block,
     DepositPolicy,
+    LedgerState,
     Transaction,
     TxInput,
     TxOutput,
@@ -51,6 +54,11 @@ def pay(registry, state, issuer, recipient, *, seq=0):
 
 def block_of(txs, parent, height=1, proposer=1):
     return Block(height=height, parent=parent, proposer=proposer, txs=tuple(txs))
+
+
+def balance(state, account):
+    """The account's unspent value in ``state``."""
+    return sum(o.value for o in state.utxos.values() if o.account == account)
 
 
 # -- transactions ---------------------------------------------------------------
@@ -115,6 +123,63 @@ def test_decode_block_rejects_every_truncation(registry):
                 decode_block(blob[:cut])
 
 
+# Decoded transactions and blocks keep slices of the blob as their payload
+# and encoding caches; that is sound only while the codec is a bijection on
+# well-formed bytes and the caches never outlive the fields they encode.
+_u32 = st.integers(0, 2**32 - 1)
+_u64 = st.integers(0, 2**64 - 1)
+_digest32 = st.binary(min_size=32, max_size=32)
+_tx_outputs = st.lists(st.builds(TxOutput, _u32, _u64), min_size=1, max_size=3).map(tuple)
+transactions = st.builds(
+    Transaction,
+    issuer=_u32,
+    seq=_u32,
+    inputs=st.lists(st.builds(TxInput, _digest32, _u32, _u64), max_size=3).map(tuple),
+    outputs=_tx_outputs,
+    signature=st.binary(max_size=40),
+)
+blocks = st.builds(
+    Block,
+    height=_u32,
+    parent=_digest32,
+    proposer=_u32,
+    txs=st.lists(transactions, max_size=4).map(tuple),
+)
+
+
+def rebuilt(tx):
+    """An equal transaction with empty caches."""
+    return Transaction(tx.issuer, tx.seq, tx.inputs, tx.outputs, tx.signature)
+
+
+@settings(deadline=None, max_examples=150)
+@given(block=blocks)
+def test_decoded_block_caches_match_a_fresh_build(block):
+    blob = block.encoding()
+    decoded = decode_block(blob)
+    assert decoded == block
+    assert decoded.encoding() == blob
+    assert decoded.digest() == hashlib.sha256(blob).digest() == block.digest()
+    for tx in decoded.txs:
+        fresh = rebuilt(tx)
+        assert tx.payload_encoding() == fresh.payload_encoding()
+        assert tx.digest() == fresh.digest()
+
+
+@settings(deadline=None, max_examples=100)
+@given(block=blocks.filter(lambda b: b.txs), outputs=_tx_outputs)
+def test_replace_never_carries_a_stale_digest(registry, block, outputs):
+    decoded = decode_block(block.encoding()).txs[0]
+    signed = sign_tx(registry, replace(decoded, issuer=1))
+    for tx in (decoded, signed):
+        tx.digest()  # fill the caches before copying
+        moved = replace(tx, outputs=outputs)
+        assert moved.payload_encoding() == rebuilt(moved).payload_encoding()
+        assert moved.digest() == rebuilt(moved).digest()
+    assert signed.digest() == rebuilt(signed).digest()
+    assert registry.verify(1, rebuilt(signed).payload_encoding(), signed.signature)
+
+
 def test_gain_cap(registry):
     genesis, state = make_genesis({1: 60, 2: 60})
     txs = [pay(registry, state, 1, 2), pay(registry, state, 2, 1)]
@@ -140,7 +205,7 @@ def test_make_genesis_chunks_balances():
     genesis, state = make_genesis({1: 250}, deposit=10, chunk=100)
     values = sorted(o.value for o in genesis.txs[0].outputs)
     assert values == [50, 100, 100]
-    assert state.balance(1) == 250
+    assert balance(state, 1) == 250
     assert state.deposit == 10
     assert state.blocks == [genesis.digest()]
 
@@ -153,7 +218,7 @@ def test_linear_merge_leaves_deposit_alone(registry):
     report = state.merge_block(block_of([pay(registry, state, 1, 2)], genesis.digest()))
     assert report.funded == [] and report.refunded == [] and report.seized == 0
     assert state.deposit == 30
-    assert state.balance(1) == 0 and state.balance(2) == 150
+    assert balance(state, 1) == 0 and balance(state, 2) == 150
     assert report.conserved
 
 
@@ -164,7 +229,7 @@ def test_double_spend_is_bought_out_of_the_deposit(registry):
     report = state.merge_block(block_of([d2], genesis.digest()))
     assert report.funded_total == 100
     assert state.deposit == 400
-    assert state.balance(2) == 100 and state.balance(3) == 100
+    assert balance(state, 2) == 100 and balance(state, 3) == 100
     assert state.inputs_deposit  # the bought input awaits its output forever
     assert report.conserved
 
@@ -182,7 +247,7 @@ def test_out_of_order_branches_net_to_zero(registry):
     assert early.refunded_total == 100
     assert state.deposit == 50
     assert state.inputs_deposit == {}
-    assert state.balance(3) == 100 and state.balance(2) == 0
+    assert balance(state, 3) == 100 and balance(state, 2) == 0
 
 
 def test_remerging_a_block_is_a_no_op(registry):
@@ -198,10 +263,10 @@ def test_remerging_a_block_is_a_no_op(registry):
 def test_punished_account_is_seized_even_on_later_branches(registry):
     genesis, state = make_genesis({1: 100, 2: 80}, deposit=0)
     assert state.punish_account(2) == 80
-    assert state.deposit == 80 and state.balance(2) == 0
+    assert state.deposit == 80 and balance(state, 2) == 0
     report = state.merge_block(block_of([pay(registry, state, 1, 2)], genesis.digest()))
     assert report.seized == 100  # fresh funds to a punished account die on arrival
-    assert state.balance(2) == 0
+    assert balance(state, 2) == 0
     assert state.deposit == 180
     assert report.conserved
 
@@ -219,7 +284,7 @@ def test_clone_isolates_merges(registry):
     genesis, state = make_genesis({1: 100}, deposit=9)
     twin = state.clone()
     twin.merge_block(block_of([pay(registry, state, 1, 2)], genesis.digest()))
-    assert state.balance(2) == 0 and twin.balance(2) == 100
+    assert balance(state, 2) == 0 and balance(twin, 2) == 100
     assert state.deposit == twin.deposit == 9
 
 
@@ -255,6 +320,115 @@ def test_synthetic_transactions_respect_recipients(registry):
     for tx in txs:
         paid = {o.account for o in tx.outputs} - {tx.issuer}
         assert paid <= {9}
+
+
+def reference_synthetic_transactions(
+    registry, state, issuers, count, rng, *, seqs=None, max_value=100, recipients=None
+):
+    """The clone-and-rescan generator that synthetic_transactions replaced."""
+    scratch = state.clone()
+    if seqs is None:
+        seqs = {}
+    if recipients is None:
+        recipients = issuers
+    made = []
+    for k in range(count):
+        issuer = issuers[k % len(issuers)]
+        owned = sorted(
+            (r for r, o in scratch.utxos.items() if o.account == issuer),
+            key=lambda r: (r[0], r[1]),
+        )
+        if not owned:
+            continue  # broke until change comes back
+        ref = owned[rng.randrange(len(owned))]
+        coin = scratch.utxos[ref]
+        recipient = recipients[rng.randrange(len(recipients))]
+        spend = rng.randint(1, min(max_value, coin.value))
+        outputs = [TxOutput(recipient, spend)]
+        if coin.value > spend:
+            outputs.append(TxOutput(issuer, coin.value - spend))
+        seqs[issuer] = seqs.get(issuer, -1) + 1
+        tx = sign_tx(
+            registry,
+            Transaction(
+                issuer=issuer,
+                seq=seqs[issuer],
+                inputs=(TxInput(ref[0], ref[1], coin.value),),
+                outputs=tuple(outputs),
+            ),
+        )
+        scratch.merge_tx(tx)
+        made.append(tx)
+    return made
+
+
+def ledger_view(state):
+    return (dict(state.utxos), set(state.txs), state.deposit, list(state.blocks))
+
+
+_accounts = st.integers(1, 12)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    balances=st.dictionaries(_accounts, st.integers(0, 400), min_size=1, max_size=6),
+    chunk=st.integers(1, 150),
+    issuers=st.lists(_accounts, min_size=1, max_size=5),
+    count=st.integers(0, 20),
+    max_value=st.integers(1, 120),
+    recipients=st.none() | st.lists(_accounts, min_size=1, max_size=4),
+    seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+    prefix=st.integers(0, 12),
+    pass_seqs=st.booleans(),
+)
+def test_synthetic_transactions_match_the_clone_based_reference(
+    registry, balances, chunk, issuers, count, max_value, recipients, seeds, prefix,
+    pass_seqs,
+):
+    genesis, state = make_genesis(balances, deposit=7, chunk=chunk)
+    seqs = {}
+    early = reference_synthetic_transactions(
+        registry, state, sorted(balances), 12, random.Random(seeds[0]), seqs=seqs
+    )
+    if prefix:
+        state.merge_block(block_of(early[:prefix], genesis.digest()))
+    # both start from the same seq map, or from none at all
+    mine_seqs = dict(seqs) if pass_seqs else None
+    ref_seqs = dict(seqs) if pass_seqs else None
+    before = ledger_view(state)
+    kwargs = dict(max_value=max_value, recipients=recipients)
+    want = reference_synthetic_transactions(
+        registry, state, issuers, count, random.Random(seeds[1]), seqs=ref_seqs, **kwargs
+    )
+    assert ledger_view(state) == before
+    got = synthetic_transactions(
+        registry, state, issuers, count, random.Random(seeds[1]), seqs=mine_seqs, **kwargs
+    )
+    assert got == want
+    assert [tx.signature for tx in got] == [tx.signature for tx in want]
+    assert mine_seqs == ref_seqs
+    assert ledger_view(state) == before
+
+
+def test_synthetic_transactions_respend_a_coin_whose_spend_is_known(registry):
+    # merge_tx alone can leave a coin unspent beside a known transaction that
+    # spends it: the spend arrived before the coin and nothing refunded it.
+    # The reference skips merging the regenerated spend and re-spends the coin.
+    mint = Transaction(issuer=0, seq=0, inputs=(), outputs=(TxOutput(1, 1),))
+    minted = LedgerState()
+    minted.merge_tx(mint)
+    (spend,) = synthetic_transactions(
+        registry, minted, [1], 1, random.Random(3), recipients=[2]
+    )
+    state = LedgerState()
+    state.merge_tx(spend)
+    state.merge_tx(mint)
+    want = reference_synthetic_transactions(
+        registry, state, [1], 2, random.Random(3), recipients=[2]
+    )
+    assert [tx.seq for tx in want] == [0, 1] and want[0] == spend
+    got = synthetic_transactions(registry, state, [1], 2, random.Random(3), recipients=[2])
+    assert got == want
 
 
 def test_double_spend_pair_shares_one_input(registry):

@@ -10,6 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accbft.committee import FaultProfile, threshold_tolerated
+from accbft.ledger import (
+    Block,
+    Transaction,
+    TxOutput,
+    decode_block,
+    sign_tx,
+    tx_valid,
+    within_gain_cap,
+)
 from accbft.scenarios import (
     _MAX_DEPOSIT_FACTOR,
     RECORD_SCHEMA,
@@ -240,6 +249,19 @@ def test_golden_records_are_unchanged(clean_record):
     assert got == GOLDEN_RECORDS
 
 
+def ledger_fork_shape(heights):
+    """The benchmark's ledger workload at a chosen chain length."""
+    return dataclasses.replace(
+        fork_scenario("binary-fork", payload="ledger"),
+        heights=heights,
+        pool=5,
+        txs_per_block=16,
+        deposit={"gain_cap": 1600, "factor": "0.1", "blockdepth": 28},
+        alpha="4/9",
+        horizon_ms=600_000,
+    )
+
+
 @pytest.mark.xfail(strict=True, reason="membership repair stalls on a stale proposer snapshot")
 def test_ledger_fork_seed_37_finishes_every_height():
     """Known liveness defect: on this seed honest process 6 never finishes.
@@ -255,19 +277,88 @@ def test_ledger_fork_seed_37_finishes_every_height():
     ends at the horizon.  Fixing it changes the protocol (the proposer set
     has to be agreed, not snapshotted).
     """
-    scn = dataclasses.replace(
-        fork_scenario("binary-fork", payload="ledger"),
-        heights=40,
-        pool=5,
-        txs_per_block=16,
-        deposit={"gain_cap": 1600, "factor": "0.1", "blockdepth": 28},
-        alpha="4/9",
-        horizon_ms=600_000,
-    )
+    scn = ledger_fork_shape(40)
     record = run_scenario(scn, 37).record
     assert record["heights_done"] == {
         pid: scn.heights for pid in record["heights_done"]
     }
+
+
+# -- the shared block table ------------------------------------------------------
+
+
+def inline_block_check(world, proc, src, value):
+    """The per-process validator as it was before the shared table."""
+    try:
+        blk = decode_block(value)
+    except ValueError:
+        return False
+    if blk.proposer != src or blk.height != proc.height + 1:
+        return False
+    if not within_gain_cap(blk, world.policy):
+        return False
+    return all(tx_valid(world.registry, tx) for tx in blk.txs)
+
+
+def test_block_validator_matches_the_inline_check():
+    world = World(fork_scenario("binary-fork", payload="ledger"), 1)
+    low, high = (world.procs[p] for p in world.roles.honest[:2])
+    high.height = 3
+    src = low.core.pid
+    propose = world.make_proposal_fn(src, world.ledgers[src])
+    good = decode_block(propose(0))
+    assert good.txs
+    forged_tx = dataclasses.replace(
+        good.txs[0], signature=bytes([good.txs[0].signature[0] ^ 1]) + good.txs[0].signature[1:]
+    )
+    rich = sign_tx(
+        world.registry, Transaction(src, 0, (), (TxOutput(src, world.policy.gain_cap + 1),))
+    )
+    cases = [
+        (src, good.encoding()),
+        (src, propose(3)),
+        (src, good.encoding()[:-1]),
+        (src, good.encoding() + b"\x00"),
+        (src, Block(1, good.parent, src, (rich,)).encoding()),
+        (src, Block(1, good.parent, src, (forged_tx,) + good.txs[1:]).encoding()),
+        (high.core.pid, good.encoding()),
+        (src, Block(7, good.parent, src, good.txs).encoding()),
+        (src, b""),
+        (src, bytes(40) + b"\xff" * 4),
+    ]
+    validators = [(low, world._block_validator(low)), (high, world._block_validator(high))]
+    verdicts = []
+    for _lookup in ("first", "cached"):
+        for sender, blob in cases:
+            for proc, valid in validators:
+                want = inline_block_check(world, proc, sender, blob)
+                assert valid(sender, blob) is want
+                verdicts.append(want)
+    # the valid blob at each height passes only for the process at that height
+    assert verdicts[:4] == [True, False, False, True]
+    assert verdicts.count(True) == 4
+
+
+def test_block_table_stays_bounded_as_heights_grow():
+    peaks = {}
+    for heights in (10, 40):
+        world = World(ledger_fork_shape(heights), 1)
+        peak = 0
+        age = world._age_blocks
+
+        def tracked():
+            nonlocal peak
+            peak = max(peak, len(world._blocks) + len(world._blocks_old))
+            age()
+
+        world._age_blocks = tracked
+        world.start()
+        world.net.run(20_000_000)
+        peaks[heights] = max(peak, len(world._blocks) + len(world._blocks_old))
+        assert min(world.procs[p].height for p in world.roles.honest) == heights
+    # about three heights of proposals; a table that kept every blob would
+    # hold some 100 at 10 heights and 380 at 40
+    assert max(peaks.values()) <= 64, peaks
 
 
 # -- fuzzed scenario files -----------------------------------------------------
