@@ -164,7 +164,7 @@ class NetAdapter:
     def broadcast(self, dsts: Iterable[int], msg: SignedMessage) -> None:
         if self.allowed is not None:
             dsts = [d for d in dsts if d in self.allowed]
-        self.net.broadcast(self.pid, dsts, msg)
+        self.net.send(self.pid, dsts, msg)
 
     def arm_timer(self, key: tuple, delay: int) -> None:
         if self.tag is not None:
@@ -280,6 +280,17 @@ class NodeCore:
             return
         if msg.kind == Kind.POF_LIST:
             self.ingest_pofs(list(msg.pofs))
+            return
+        if msg.kind != Kind.MSGSET and not msg.certificate:
+            # a bare message: _ingest's steps for it, without the lists
+            pof = None
+            if not msg._held & self.store.mark:
+                status, pof = self._admit(msg)
+                if status == "new":
+                    self.metrics.admitted += 1
+            self._dispatch(msg)
+            if pof is not None:
+                self.ingest_pofs([pof])
             return
         found: list[Pof] = []
         fresh: list[SignedMessage] = []

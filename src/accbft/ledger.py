@@ -247,10 +247,6 @@ class DepositPolicy:
     def pool_target(self) -> Fraction:
         return as_fraction(self.factor) * self.gain_cap
 
-    @property
-    def per_process(self) -> Fraction:
-        return 3 * self.pool_target / self.n
-
 
 def within_gain_cap(block: Block, policy: DepositPolicy) -> bool:
     """Proposal-time validity hook: oversized blocks never enter consensus."""
@@ -371,14 +367,24 @@ class LedgerState:
         accounts are seized on the spot; then any deposit-funded input that
         the block has made whole is refunded.  A block that brings no
         conflicts is just a normal commit and leaves the deposit untouched.
+
+        Between merges no funded input is also unspent (each merge refunds
+        them all, and only merges create outputs), so the refund scan runs
+        only when an output this merge created is a funded input.
         """
         report = MergeReport(block=block.digest(), deposit_before=self.deposit)
+        funded = self.inputs_deposit
+        refundable = False
         for tx in block.txs:
             if self.merge_tx(tx, report):
-                for out in tx.outputs:
+                digest = report.merged[-1]
+                for idx, out in enumerate(tx.outputs):
+                    if (digest, idx) in funded:
+                        refundable = True
                     if out.account in self.punished:
                         report.seized += self.punish_account(out.account)
-        self.refund_inputs(report)
+        if refundable:
+            self.refund_inputs(report)
         self.blocks.append(report.block)
         report.deposit_after = self.deposit
         assert report.conserved

@@ -6,30 +6,36 @@ and delay them, with every delay clamped to the synchrony bound after the
 global stabilization time.  Only a faulty sender's send filter (benign
 omission or crash, byzantine garbling) drops frames, and ``stats.omitted``
 counts them.  Virtual time is integer microseconds.
+
+Events wait in a calendar queue: one FIFO list per pending tick, plus a heap
+of the distinct pending ticks.  Events of one tick run in the order they were
+pushed, whether frames or timers, including a zero-delay frame pushed while
+its tick is being drained.  A frame costs one delay draw per recipient, from
+the network's one ``Random``, in recipient pid order.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
 
 from .crypto import SignedMessage
 
 TICKS_PER_MS = 1000
 
-FRAME = 0
-TIMER = 1
+# which delay statistic a link's frames feed (see VirtualNet._link)
+INTRA = 1
+CROSS = 2
 
 
 @dataclass(frozen=True)
 class UniformDelay:
+    """A delay drawn as ``randint(lo, hi)``."""
+
     lo: int  # ticks
     hi: int
-
-    def sample(self, rng: random.Random) -> int:
-        return rng.randint(self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,8 @@ class GammaDelay:
 @dataclass(frozen=True)
 class TraceDelay:
     """Latency table keyed by (region, region); processes map to regions
-    round-robin.  A small seeded jitter keeps schedules from degenerate ties."""
+    round-robin.  A small seeded jitter, ``randint(0, jitter)`` added to the
+    link's latency, keeps schedules from degenerate ties."""
 
     table: tuple[tuple[str, str, int], ...]
     regions: tuple[str, ...]
@@ -56,10 +63,9 @@ class TraceDelay:
                 return ticks
         raise KeyError((r1, r2))
 
-    def sample_pair(self, rng: random.Random, src: int, dst: int) -> int:
-        r1 = self.regions[src % len(self.regions)]
-        r2 = self.regions[dst % len(self.regions)]
-        return self.lookup(r1, r2) + rng.randint(0, self.jitter)
+    def latency(self, src: int, dst: int) -> int:
+        regions = self.regions
+        return self.lookup(regions[src % len(regions)], regions[dst % len(regions)])
 
 
 DelayModel = object  # UniformDelay | GammaDelay | TraceDelay
@@ -74,15 +80,31 @@ class NetConfig:
 
 
 class VirtualNet:
-    """Event heap + delay assignment.  Hosts register with deliver/on_timer."""
+    """Calendar event queue + per-link delay assignment.  Hosts register with
+    deliver_frame/on_timer.
+
+    Pending events sit in one FIFO list per virtual tick (``_cal``), and
+    ``_heap`` holds each pending tick once.  ``run`` drains the earliest
+    tick's list front to back, so events of one tick come out in the order
+    they were pushed, across frames and timers alike; a zero-delay frame
+    pushed while that tick drains (a send to an attacker pid) joins the end
+    of the list being drained.  That is the order a heap keyed by (tick,
+    push sequence) gives.
+
+    ``send`` is the one frame primitive.  Each (src, dst) link resolves once,
+    on its first frame, into its delay draw and its statistics class, so the
+    wiring (``attacker_pids``, ``partition_of``, the delay models) must be in
+    place before the first send.
+    """
 
     def __init__(self, cfg: NetConfig, seed: int, horizon: int):
         self.cfg = cfg
         self.rng = random.Random(seed)
         self.horizon = horizon
         self.now = 0
-        self._seq = 0
-        self._heap: list[tuple] = []
+        self._heap: list[int] = []  # distinct pending ticks
+        self._cal: dict[int, list[tuple]] = {}  # tick -> events, push order
+        self._links: dict[int, dict[int, tuple]] = {}  # src -> dst -> link
         self.hosts: dict[int, object] = {}
         # pid -> partition index for honest processes; attackers absent
         self.partition_of: dict[int, int] = {}
@@ -108,102 +130,179 @@ class VirtualNet:
 
     # -- sampling ----------------------------------------------------------
 
-    def _raw_delay(self, src: int, dst: int) -> int:
-        if dst in self.attacker_pids:
-            return 0  # adversary omniscience: reads honest traffic instantly
-        model = self.cfg.base
-        if self.cfg.cross is not None and src not in self.attacker_pids:
-            psrc, pdst = self.partition_of.get(src), self.partition_of.get(dst)
-            if psrc is not None and pdst is not None and psrc != pdst:
-                model = self.cfg.cross
-        if isinstance(model, TraceDelay):
-            return model.sample_pair(self.rng, src, dst)
-        return model.sample(self.rng)
+    def _link(self, src: int, dst: int) -> tuple:
+        """Resolve and cache one link as (lo, width, bits, sample, stat).
 
-    def delay(self, src: int, dst: int) -> int:
-        d = self._raw_delay(src, dst)
-        assert d >= 0
-        if self.now < self.cfg.gst:
-            # pre-GST sends still land by GST + delta
-            deliver = min(self.now + d, self.cfg.gst + self.cfg.delta)
+        A frame's raw delay is ``lo + r`` for ``r`` drawn below ``width``
+        from ``bits`` random bits, redrawn while ``r >= width``: the draw
+        ``randint(lo, lo + width - 1)`` makes (``Random._randbelow``), which
+        the simnet tests pin.  With ``width`` 0 it is
+        ``sample(rng)``, or 0 when there is no sampler (the adversary reads
+        honest traffic instantly).  ``stat`` says which delay statistic the
+        frame feeds: INTRA, CROSS or none for a link that touches an
+        attacker.
+        """
+        attackers = self.attacker_pids
+        psrc, pdst = self.partition_of.get(src), self.partition_of.get(dst)
+        crossing = psrc is not None and pdst is not None and psrc != pdst
+        if src in attackers or dst in attackers:
+            stat = 0
         else:
-            deliver = self.now + min(d, self.cfg.delta)
-        return deliver - self.now
+            stat = CROSS if crossing else INTRA
+        if dst in attackers:
+            link = (0, 0, 0, None, stat)
+        else:
+            model = self.cfg.base
+            if self.cfg.cross is not None and crossing and src not in attackers:
+                model = self.cfg.cross
+            if isinstance(model, GammaDelay):
+                link = (0, 0, 0, model.sample, stat)
+            else:
+                if isinstance(model, UniformDelay):
+                    lo, width = model.lo, model.hi - model.lo + 1
+                else:
+                    lo, width = model.latency(src, dst), model.jitter + 1
+                if width < 1:
+                    raise ValueError("empty delay range on link %d -> %d" % (src, dst))
+                link = (lo, width, width.bit_length(), None, stat)
+        self._links.setdefault(src, {})[dst] = link
+        return link
 
     # -- primitives used by hosts -------------------------------------------
 
-    def send(self, src: int, dst: int, msg: SignedMessage) -> None:
-        filt = self.send_filters.get(src)
-        if filt is not None:
-            out = filt(msg)
-            if out is None:
-                self.stats.omitted += 1
-                return
-            msg = out
-        deliver_at = self.now + self.delay(src, dst)
-        self._seq += 1
-        heapq.heappush(self._heap, (deliver_at, self._seq, FRAME, src, dst, msg))
-        self.stats.count_send(msg, post_gst=self.now >= self.cfg.gst)
-        if src not in self.attacker_pids and dst not in self.attacker_pids:
-            psrc, pdst = self.partition_of.get(src), self.partition_of.get(dst)
-            if psrc is not None and pdst is not None and psrc != pdst:
-                self.stats.cross_delay_sum += deliver_at - self.now
-                self.stats.cross_delay_n += 1
-            else:
-                self.stats.intra_delay_sum += deliver_at - self.now
-                self.stats.intra_delay_n += 1
-        if self.trace is not None:
-            self.trace.append(
-                {
-                    "t": self.now,
-                    "ev": "send",
-                    "from": src,
-                    "to": dst,
-                    "kind": int(msg.kind),
-                    "instance": list(msg.instance),
-                    "round": msg.round,
-                    "at": deliver_at,
-                }
-            )
+    def send(self, src: int, dsts: Iterable[int], msg: SignedMessage) -> None:
+        """Send ``msg`` from ``src`` to every pid of ``dsts`` but ``src``.
 
-    def broadcast(self, src: int, dsts: Iterable[int], msg: SignedMessage) -> None:
+        Recipients go in pid order.  Each one runs the sender's send filter
+        (if any), then takes one delay draw from ``rng`` unless the filter
+        dropped the frame.  Before the global stabilization time a frame
+        lands by GST + delta, after it within delta of the send.
+        """
+        now = self.now
+        cfg = self.cfg
+        post_gst = now >= cfg.gst
+        cap = now + cfg.delta if post_gst else cfg.gst + cfg.delta
+        filt = self.send_filters.get(src)
+        links = self._links.get(src)
+        if links is None:
+            links = self._links[src] = {}
+        cal = self._cal
+        heap = self._heap
+        rng = self.rng
+        getrandbits = rng.getrandbits
+        stats = self.stats
+        trace = self.trace
+        sent = intra_sum = intra_n = cross_sum = cross_n = 0
         for dst in sorted(dsts):
-            if dst != src:
-                self.send(src, dst, msg)
+            if dst == src:
+                continue
+            out = msg
+            if filt is not None:
+                out = filt(msg)
+                if out is None:
+                    stats.omitted += 1
+                    continue
+            link = links.get(dst)
+            if link is None:
+                link = self._link(src, dst)
+            lo, width, bits, sample, stat = link
+            if width:
+                r = getrandbits(bits)
+                while r >= width:
+                    r = getrandbits(bits)
+                at = now + (lo + r)
+            elif sample is not None:
+                at = now + sample(rng)
+            else:
+                at = now
+            if at > cap:
+                at = cap
+            q = cal.get(at)
+            if q is None:
+                cal[at] = [(dst, src, out)]
+                heappush(heap, at)
+            else:
+                q.append((dst, src, out))
+            if filt is None:
+                sent += 1
+            else:
+                stats.count_send(out, post_gst)
+            if stat == INTRA:
+                intra_sum += at - now
+                intra_n += 1
+            elif stat == CROSS:
+                cross_sum += at - now
+                cross_n += 1
+            if trace is not None:
+                trace.append(
+                    {
+                        "t": now,
+                        "ev": "send",
+                        "from": src,
+                        "to": dst,
+                        "kind": int(out.kind),
+                        "instance": list(out.instance),
+                        "round": out.round,
+                        "at": at,
+                    }
+                )
+        if sent:
+            stats.count_send(msg, post_gst, sent)
+        if intra_n:
+            stats.intra_delay_sum += intra_sum
+            stats.intra_delay_n += intra_n
+        if cross_n:
+            stats.cross_delay_sum += cross_sum
+            stats.cross_delay_n += cross_n
 
     def arm_timer(self, pid: int, key: tuple, delay: int) -> None:
-        self._seq += 1
-        heapq.heappush(
-            self._heap, (self.now + max(delay, 1), self._seq, TIMER, pid, key)
-        )
+        at = self.now + max(delay, 1)
+        q = self._cal.get(at)
+        if q is None:
+            self._cal[at] = [(pid, None, key)]
+            heappush(self._heap, at)
+        else:
+            q.append((pid, None, key))
 
     # -- main loop ----------------------------------------------------------
 
     def run(self, event_budget: int = 20_000_000) -> str:
         """Drain events until quiescence, the horizon, or the budget.
 
-        Returns the stop reason: "quiescent" | "horizon" | "budget".
+        Returns the stop reason: "quiescent" | "horizon" | "budget".  A
+        budget stop inside a tick leaves that tick's unprocessed events
+        queued, so a later ``run`` resumes exactly where this one stopped.
+        A queued event is (pid, src, msg) for a frame and (pid, None, key)
+        for a timer.
         """
-        processed = 0
-        while self._heap:
-            t = self._heap[0][0]
-            if t > self.horizon:
+        heap = self._heap
+        cal = self._cal
+        hosts = self.hosts
+        horizon = self.horizon
+        left = event_budget
+        while heap:
+            t = heap[0]
+            if t > horizon:
                 return "horizon"
-            processed += 1
-            if processed > event_budget:
+            if left <= 0:
                 return "budget"
-            entry = heapq.heappop(self._heap)
-            self.now = entry[0]
-            if entry[2] == FRAME:
-                _, _, _, src, dst, msg = entry
-                host = self.hosts.get(dst)
+            self.now = t
+            q = cal[t]
+            start = left
+            # frames pushed for tick t while it drains join q and are reached
+            for pid, src, item in q:
+                if not left:
+                    del q[:start]  # the budget ran out after q's first start events
+                    return "budget"
+                left -= 1
+                host = hosts.get(pid)
                 if host is not None:
-                    host.deliver_frame(src, msg)
-            else:
-                _, _, _, pid, key = entry
-                host = self.hosts.get(pid)
-                if host is not None:
-                    host.on_timer(key)
+                    if src is None:
+                        host.on_timer(item)
+                    else:
+                        host.deliver_frame(src, item)
+            heappop(heap)
+            del cal[t]
         return "quiescent"
 
 
@@ -219,14 +318,15 @@ class NetStats:
         self.cross_delay_sum = 0
         self.cross_delay_n = 0
 
-    def count_send(self, msg: SignedMessage, post_gst: bool) -> None:
-        self.sends += 1
+    def count_send(self, msg: SignedMessage, post_gst: bool, n: int = 1) -> None:
+        """Count ``n`` frames of ``msg``'s channel."""
+        self.sends += n
         chan = msg.instance[3]
-        self.by_channel[chan] = self.by_channel.get(chan, 0) + 1
+        self.by_channel[chan] = self.by_channel.get(chan, 0) + n
         if post_gst:
-            self.sends_post_gst += 1
+            self.sends_post_gst += n
             self.by_channel_post_gst[chan] = (
-                self.by_channel_post_gst.get(chan, 0) + 1
+                self.by_channel_post_gst.get(chan, 0) + n
             )
 
 

@@ -1,9 +1,11 @@
 """Message admission, the confirmation rule, repairs, and live fraud intake."""
 
+import types
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accbft.consensus import (
@@ -20,6 +22,7 @@ from accbft.crypto import (
     Kind,
     make_message,
     pofs_payload,
+    verify_message,
 )
 from conftest import fraud_proof, mini_world, start_contexts
 
@@ -228,3 +231,88 @@ def test_alpha_confirmation_on_a_clean_network():
     for ctx in ctxs.values():
         assert ctx.confirmation == "confirmed"
         assert ctx.decision is not None
+
+
+def reference_deliver_frame(self, src, msg):
+    """NodeCore.deliver_frame before bare messages skipped the ingest lists:
+    every message went through _ingest."""
+    self.metrics.frames += 1
+    if not verify_message(self.registry, msg):
+        self.metrics.bad_signature += 1
+        return
+    if msg.kind == Kind.POF_LIST:
+        self.ingest_pofs(list(msg.pofs))
+        return
+    found = []
+    fresh = []
+    if msg.kind == Kind.MSGSET:
+        if msg.payload in self._seen_bundles:
+            return
+        self._seen_bundles.add(msg.payload)
+        for inner in msg.certificate:
+            self._ingest(inner, found, fresh)
+        for m in fresh:
+            self._dispatch(m)
+    else:
+        self._ingest(msg, found, fresh)
+        for m in fresh:
+            if m is not msg:
+                self._dispatch(m)
+        self._dispatch(msg)
+    if found:
+        self.ingest_pofs(found)
+
+
+# (kind, signer, slot source, payload, forged); READY carries a certificate of
+# the three peers' echoes, so it takes the certificate path
+_FRAMES = st.lists(
+    st.tuples(
+        st.sampled_from([Kind.INIT, Kind.ECHO, Kind.READY]),
+        st.integers(2, 4),
+        st.integers(1, 4),
+        st.sampled_from([b"a", b"b"]),
+        st.booleans(),
+    ),
+    max_size=25,
+)
+
+
+def _frame(reg, kind, signer, source, payload, forged):
+    iid = (0, 0, GROUP_MAIN, CHAN_BCAST, source)
+    if kind == Kind.INIT:
+        signer = source if source != 1 else signer
+    cert = ()
+    if kind == Kind.READY:
+        cert = tuple(make_message(reg, s, Kind.ECHO, iid, 1, 1, payload) for s in (2, 3, 4))
+    msg = make_message(reg, signer, kind, iid, 1, 0 if kind == Kind.INIT else 1, payload, cert)
+    if forged:
+        msg = replace(msg, signature=bytes([msg.signature[0] ^ 1]) + msg.signature[1:])
+    return msg
+
+
+def _core_view(net, core, ctx):
+    return (
+        core.metrics,
+        [(key, m.payload, bool(m.certificate)) for key, m in core.store.slots.items()],
+        core.committee.d_r,
+        sorted(core.committee.members),
+        dict(ctx.delivered),
+        net.trace,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_FRAMES)
+def test_bare_frames_take_the_same_steps_as_the_ingest_path(frames):
+    views = []
+    for reference in (False, True):
+        net, reg, cores = mini_world(4)
+        net.trace = []
+        core = cores[1]
+        if reference:
+            core.deliver_frame = types.MethodType(reference_deliver_frame, core)
+        ctxs = start_contexts(cores, {p: b"v%d" % p for p in cores})
+        for spec in frames:
+            core.deliver_frame(spec[1], _frame(reg, *spec))
+        views.append(_core_view(net, core, ctxs[1]))
+    assert views[0] == views[1]

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accbft.ledger import (
+    GENESIS_PARENT,
     Block,
     DepositPolicy,
     LedgerState,
+    MergeReport,
     Transaction,
     TxInput,
     TxOutput,
@@ -190,12 +192,17 @@ def test_gain_cap(registry):
     assert not within_gain_cap(block, DepositPolicy(119, "0.1", 4, 28))
 
 
+def per_process(policy):
+    """Each process's escrow, 3 * factor * gain_cap / n."""
+    return 3 * policy.pool_target / policy.n
+
+
 def test_deposit_policy_coalition_cover():
     policy = DepositPolicy(gain_cap=400, factor="0.1", n=9, blockdepth=28)
     assert policy.pool_target == Fraction(40)
-    assert policy.per_process == Fraction(40, 3)
+    assert per_process(policy) == Fraction(40, 3)
     # the escrow of any ceil(n/3) processes covers the pool
-    assert ceil(policy.n / 3) * policy.per_process >= policy.pool_target
+    assert ceil(policy.n / 3) * per_process(policy) >= policy.pool_target
 
 
 # -- genesis --------------------------------------------------------------------
@@ -469,3 +476,69 @@ def test_branch_merge_order_is_immaterial(registry, case, split):
     other.merge_block(branch_b)
     other.merge_block(branch_a)
     assert flat(one) == flat(other)
+
+
+class FullScanLedger(LedgerState):
+    """The merge as it was before the refund scan became conditional: every
+    merge scans all of ``inputs_deposit``."""
+
+    def merge_block(self, block):
+        report = MergeReport(block=block.digest(), deposit_before=self.deposit)
+        for tx in block.txs:
+            if self.merge_tx(tx, report):
+                for out in tx.outputs:
+                    if out.account in self.punished:
+                        report.seized += self.punish_account(out.account)
+        self.refund_inputs(report)
+        self.blocks.append(report.block)
+        report.deposit_after = self.deposit
+        assert report.conserved
+        return report
+
+
+GENESIS_COIN = Transaction(
+    issuer=0, seq=0, inputs=(), outputs=tuple(TxOutput(a, 50) for a in (1, 2, 3, 4))
+)
+
+
+@st.composite
+def merge_runs(draw):
+    """Unsigned transactions spending each other's outputs (double spends and
+    spends ahead of their coin included), then blocks of them in any order,
+    with accounts punished between merges."""
+    coins = [(GENESIS_COIN.digest(), i, o.value) for i, o in enumerate(GENESIS_COIN.outputs)]
+    txs = []
+    for k in range(draw(st.integers(1, 10))):
+        spent = draw(st.lists(st.sampled_from(coins), max_size=2, unique=True))
+        outs = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 60)), min_size=1, max_size=3))
+        tx = Transaction(
+            issuer=1 + k % 4,
+            seq=k,
+            inputs=tuple(TxInput(src, idx, value) for src, idx, value in spent),
+            outputs=tuple(TxOutput(a, v) for a, v in outs),
+        )
+        txs.append(tx)
+        coins.extend((tx.digest(), i, v) for i, (_, v) in enumerate(outs))
+    blocks = draw(st.lists(st.lists(st.sampled_from(txs), min_size=1, max_size=4), min_size=1, max_size=8))
+    punish = draw(st.lists(st.none() | st.integers(1, 4), min_size=len(blocks), max_size=len(blocks)))
+    return blocks, punish
+
+
+@settings(deadline=None, max_examples=200)
+@given(merge_runs())
+def test_refunds_match_the_full_scan(run):
+    blocks, punish = run
+    genesis = Block(height=0, parent=GENESIS_PARENT, proposer=0, txs=(GENESIS_COIN,))
+    mine, full = LedgerState(deposit=100), FullScanLedger(deposit=100)
+    for state in (mine, full):
+        state.merge_block(genesis)
+    for height, (txs, accused) in enumerate(zip(blocks, punish), start=1):
+        if accused is not None:
+            assert mine.punish_account(accused) == full.punish_account(accused)
+        block = Block(height=height, parent=genesis.digest(), proposer=1, txs=tuple(txs))
+        got, want = mine.merge_block(block), full.merge_block(block)
+        assert got.refunded == want.refunded
+        assert got.funded == want.funded and got.seized == want.seized
+        assert mine.deposit == full.deposit
+        assert list(mine.inputs_deposit.items()) == list(full.inputs_deposit.items())
+        assert mine.utxos == full.utxos

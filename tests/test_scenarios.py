@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accbft.committee import FaultProfile, threshold_tolerated
+from accbft.crypto import CHAN_BCAST, GROUP_MAIN, Kind, make_message
 from accbft.ledger import (
     Block,
     Transaction,
@@ -249,6 +250,48 @@ def test_golden_records_are_unchanged(clean_record):
     assert got == GOLDEN_RECORDS
 
 
+# sha256 of the send trace (one JSON line per frame, as `accbft run --trace`
+# writes it) for seed 1, taken before the event queue became a calendar and
+# sends resolved per link.  It pins each frame's recipients in order, its
+# delivery tick and so every delay draw, and which frames a send filter
+# dropped (agreement-n7 has benign and byzantine senders; the fork file has
+# attacker pids, read at zero delay).  The gamma and trace variants pin the
+# other two delay models.
+_TRACE_DELAYS = {
+    "gamma": {"model": "gamma", "scale_ms": 2, "shape": 2.0},
+    "trace": {
+        "model": "trace",
+        "regions": ["eu", "us"],
+        "table": [["eu", "us", 40], ["eu", "eu", 5], ["us", "us", 7]],
+        "jitter_ms": 3,
+    },
+}
+GOLDEN_TRACES = {
+    "clean-n4-h2": "f2efe11981e1b71ebd5d2113b94a36710c934a6ce5fc118f5fb51ff277d55933",
+    "fork-binary-ledger-n9": "1e5c19caa76cb091952e55df1894d28a3c79228e9b61e01e619982d41a3fb51f",
+    "agreement-n7": "6283aca1508b5cfb1aaa05d8064cc2340324e39966c943dc6b6265997a375c1b",
+    "clean-n4-gamma": "3d747c522822234dff4152d9bee54063a6b0b7a057e72210366b892ded7f8cb1",
+    "clean-n4-trace": "dce381a98f5ed68814541d8050f967fe3c5db8d63a4da86a20a32b67468d7639",
+}
+
+
+def test_golden_send_traces_are_unchanged():
+    files = Path(__file__).resolve().parent.parent / "scenarios"
+    cases = {
+        "clean-n4-h2": clean_scenario(4),
+        "fork-binary-ledger-n9": load_scenario(files / "fork-binary-ledger-n9.json"),
+        "agreement-n7": load_scenario(files / "agreement-n7.json"),
+    }
+    for model, delay in _TRACE_DELAYS.items():
+        cases["clean-n4-" + model] = dataclasses.replace(clean_scenario(4), delay=delay)
+    got = {}
+    for name, scn in cases.items():
+        events = run_scenario(scn, 1, trace=True).world.net.trace
+        text = "".join(json.dumps(event, sort_keys=True) + "\n" for event in events)
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == GOLDEN_TRACES
+
+
 def ledger_fork_shape(heights):
     """The benchmark's ledger workload at a chosen chain length."""
     return dataclasses.replace(
@@ -449,8 +492,8 @@ def _merged(base, over):
 
 def _parse_or_diagnose(raw):
     """A scenario file either fails with diagnostics, or builds the network,
-    processes and adversary, with a bounded deposit pool, and draws one delay
-    per link (it never runs)."""
+    processes and adversary, with a bounded deposit pool, and sends one frame
+    over every link (it never runs)."""
     try:
         scn = scenario_from_dict(raw)
     except ScenarioError as err:
@@ -461,9 +504,9 @@ def _parse_or_diagnose(raw):
     if world.policy is not None:
         assert world.policy.pool_target <= _MAX_DEPOSIT_FACTOR * world.policy.gain_cap
     net = world.net
+    msg = make_message(world.registry, 1, Kind.INIT, (0, 0, GROUP_MAIN, CHAN_BCAST, 1), 1, 0, b"")
     for src in net.hosts:
-        for dst in net.hosts:
-            net.delay(src, dst)
+        net.send(src, net.hosts, msg)
 
 
 @settings(max_examples=500, deadline=None)
