@@ -345,18 +345,6 @@ def _seeded(scns: list[Scenario], seeds: int) -> list[list[dict]]:
     return [records[i * seeds : (i + 1) * seeds] for i in range(len(scns))]
 
 
-def spam_records(seeds: int) -> list[dict]:
-    return _seeded([spam_scenario()], seeds)[0]
-
-
-def fork_records(seeds: int) -> dict[str, list[dict]]:
-    return dict(zip(FORK_KINDS, _seeded([fork_scenario(k) for k in FORK_KINDS], seeds)))
-
-
-def llb_records(seeds: int) -> list[dict]:
-    return _seeded([llb_scenario()], seeds)[0]
-
-
 COMPLEXITY_SIZES = (4, 10, 20, 40)
 
 
@@ -619,7 +607,7 @@ def suite_attack(seeds: int) -> list[Check]:
 
 
 def suite_membership(seeds: int) -> list[Check]:
-    return [check_llb(llb_records(seeds))]
+    return [check_llb(_seeded([llb_scenario()], seeds)[0])]
 
 
 def suite_zeroloss() -> list[Check]:

@@ -20,11 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from collections import deque
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from math import ceil
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .analysis import as_fraction
 from .committee import Committee, FaultProfile, default_h0, threshold_tolerated
@@ -54,12 +55,6 @@ from .simnet import (
 )
 
 RECORD_SCHEMA = 1
-
-ATTACK_KINDS = ("broadcast-fork", "binary-fork")
-BENIGN_KINDS = ("crash_at", "omit_fraction", "stale")
-PAYLOAD_KINDS = ("tokens", "ledger")
-H_PRIME_PRESETS = ("eventual-consensus", "consensus", "awareness-optimal")
-
 
 class ScenarioError(ValueError):
     """A scenario description failed validation; .problems lists each field."""
@@ -101,7 +96,6 @@ class Scenario:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-_KNOWN = frozenset(f.name for f in fields(Scenario))
 _REQUIRED = tuple(
     f.name for f in fields(Scenario)
     if f.default is MISSING and f.default_factory is MISSING
@@ -115,7 +109,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for key in _REQUIRED:
         if key not in kwargs:
             problems.append("%s: required field missing" % key)
-    for key in sorted(set(kwargs) - _KNOWN):
+    for key in sorted(set(kwargs) - set(SCHEMA)):
         problems.append("%s: unknown field" % key)
     if problems:
         raise ScenarioError(problems)
@@ -143,22 +137,75 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(raw)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+# ---------------------------------------------------------------------------
+# the schema
+# ---------------------------------------------------------------------------
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+class Field(NamedTuple):
+    """One scenario field.  ``kind`` is int, num, ratio, str, enum, list or
+    object.  Numbers and ratios (a ratio may be a string such as "4/9") lie in
+    [lo, hi], or (lo, hi] with ``open_lo``.  A str fully matches ``pattern``,
+    an enum is one of ``choices`` (or an integer in [lo, hi] if ``hi`` is
+    set), a list has at least ``lo`` items matching ``item`` (or is a row that
+    matches a tuple ``item``), an object takes only its ``keys`` and those of
+    its model in ``models``.  ``default`` fills a missing key, or a top-level
+    object that is absent or empty.  ``msg`` replaces the diagnostic, for an
+    object also its keys' ones; ``note`` tells the README what absent means.
+    """
+
+    kind: str
+    lo: object = None
+    hi: object = None
+    unit: str = ""
+    default: object = None
+    required: bool = False
+    open_lo: bool = False
+    choices: tuple = ()
+    pattern: str = "(?s).*"
+    item: object = None
+    keys: Optional[dict] = None
+    models: Optional[dict] = None
+    msg: str = ""
+    note: str = ""
+
+    def rule(self) -> str:
+        """What a value must be, worded as its diagnostic."""
+        sign = "positive" if self.lo else "non-negative"
+        return self.msg or _RULES[self.kind].format(self, sign, "(" if self.open_lo else "[")
+
+    def fits(self, v) -> bool:
+        """Whether ``v`` is a valid value of this field (any kind but object)."""
+        kind, lo, hi, item = self.kind, self.lo, self.hi, self.item
+        if kind == "str":
+            return isinstance(v, str) and re.fullmatch(self.pattern, v) is not None
+        if kind == "enum" and (v in self.choices or hi is None):
+            return v in self.choices  # else it may be an integer in [lo, hi]
+        if kind == "list" and not isinstance(v, (list, tuple)):
+            return False
+        if kind == "list" and not isinstance(item, Field):  # a fixed-length row
+            return len(v) == len(item) and all(map(Field.fits, item, v))
+        if kind == "list":
+            return len(v) >= (lo or 0) and all(map(item.fits, v))
+        if kind == "ratio" and not isinstance(v, bool):
+            try:
+                v = as_fraction(v)
+            except (ValueError, ZeroDivisionError, TypeError):
+                return False
+        elif isinstance(v, bool) or not isinstance(v, (int, float) if kind == "num" else int):
+            return False
+        above = lo is None or lo < v or lo == v and not self.open_lo
+        return above and (hi is None or v <= hi)
 
 
-def _is_seq(v) -> bool:
-    return isinstance(v, (list, tuple))
-
-
-def _unknown_keys(label: str, spec: dict, known: Iterable[str]) -> list[str]:
-    unknown = sorted(set(spec) - set(known), key=str)
-    return ["%s.%s: unknown field" % (label, key) for key in unknown]
-
+_RULES = {
+    "int": "must be a {1} integer{0.unit}, at most {0.hi}",
+    "num": "must be a number{0.unit} in {2}{0.lo}, {0.hi}]",
+    "ratio": "must be a non-negative ratio, at most {0.hi}",
+    "str": "must match {0.pattern}",
+    "enum": "must be one of {0.choices}",
+    "object": "must be an object",
+}
 
 # Every number is bounded.  Process ids and heights travel as 32-bit fields,
 # and larger counts make building the world, the genesis block or a proposal
@@ -167,222 +214,186 @@ def _unknown_keys(label: str, spec: dict, known: Iterable[str]) -> list[str]:
 # records then means nothing.  A huge or non-finite delay number overflows the
 # conversion to ticks or the gamma sampler, an infinite shape never returns a
 # sample, and a gamma scale under one tick truncates to 0, which the sampler
-# rejects.
-_MAX_PROCESSES = 1000  # n, and the standby pool
-_MAX_HEIGHTS = 10**6  # heights, deposit blockdepth
-_MAX_TXS = 1000  # txs_per_block
-_MAX_COINS = 10**6  # deposit gain_cap and balance
-_MAX_DEPOSIT_FACTOR = 10**3  # deposit factor, in gain caps
-_MAX_MS = 10**9  # every _ms field
-_MAX_GAMMA_SHAPE = 10**3
+# rejects.  The name is the stem of the files a run writes, so it holds no path.
+_MAX_PROCESSES = 1000  # n, t, d, q, the standby pool
+_MAX_DEPOSIT_FACTOR = 10**3  # in gain caps
+_MAX_MS = 10**9
+_MS, _COINS = " (milliseconds)", " (coin units)"
+_COUNT = Field("int", 0, _MAX_PROCESSES)
+_TICK = 1 / TICKS_PER_MS
+_ROW = (Field("str"), Field("str"), Field("num", 0, _MAX_MS))  # [region, region, ms]
+_DELAY_MODELS = {
+    "uniform": Field("object", keys={
+        "lo_ms": Field("int", 0, _MAX_MS, _MS, required=True),
+        "hi_ms": Field("int", 0, _MAX_MS, _MS, required=True),
+    }, msg="uniform needs integers 0 <= lo_ms <= hi_ms <= %d" % _MAX_MS),
+    "gamma": Field("object", keys={
+        "scale_ms": Field("num", _TICK, _MAX_MS, _MS, required=True),
+        "shape": Field("num", 0, 1000, default=2.5, open_lo=True),
+    }, msg="gamma needs shape in (0, 1000] and scale_ms in [%g, %d]" % (_TICK, _MAX_MS)),
+    "trace": Field("object", keys={
+        "table": Field("list", item=Field("list", item=_ROW), required=True,
+                       msg="rows must be [region, region, ms in [0, %d]]" % _MAX_MS),
+        "regions": Field("list", 1, item=Field("str"), required=True,
+                         msg="must be a non-empty list of region names"),
+        "jitter_ms": Field("int", 0, _MAX_MS, _MS, default=1),
+    }),
+}
+_DELAY_KEYS = {"model": Field("enum", choices=tuple(_DELAY_MODELS), default="uniform")}
+_PRESETS = ("eventual-consensus", "consensus", "awareness-optimal")
+
+# One entry per Scenario field, in the same order.
+SCHEMA = {
+    "name": Field("str", pattern=r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$"),
+    "n": Field("int", 1, _MAX_PROCESSES),
+    "t": _COUNT,
+    "d": _COUNT,
+    "q": _COUNT,
+    "delta_ms": Field("int", 1, _MAX_MS, _MS),
+    "gst_ms": Field("int", 0, _MAX_MS, _MS),
+    "horizon_ms": Field("int", 1, _MAX_MS, _MS),
+    "h0": Field("int", 1, _MAX_PROCESSES, msg="must satisfy n/2 < h0 <= n", note="ceil(2n/3)"),
+    "h_prime0": Field("enum", 1, _MAX_PROCESSES, choices=_PRESETS,
+                      msg="must be one of %s or satisfy n/2 < h' <= n" % (_PRESETS,)),
+    "mode": Field("enum", choices=("superblock",), msg="must be 'superblock'"),
+    "heights": Field("int", 1, 10**6),
+    "alpha": Field("ratio", 0, Fraction(2, 3), note="no confirmation round"),
+    "seeds": Field("list", 1, item=Field("int"), msg="must be a non-empty list of integers"),
+    "delay": Field("object", keys=_DELAY_KEYS, models=_DELAY_MODELS),
+    "cross_delay": Field("object", keys=_DELAY_KEYS, models=_DELAY_MODELS, note="`delay`"),
+    "partitions": Field("list", item=Field("list", item=Field("int")),
+                        msg="must be a list of pid lists", note="no partitions"),
+    "attack": Field("object", note="no adversary", keys={
+        "kind": Field("enum", choices=("broadcast-fork", "binary-fork"), required=True),
+        "targets": Field("int", 0, _MAX_PROCESSES, default=0),
+        "retire_ms": Field("int", 0, _MAX_MS, _MS, note="`gst_ms`")}),
+    "benign": Field("object", default={"kind": "crash_at", "crash_at_ms": 0}, keys={
+        "kind": Field("enum", choices=("crash_at", "omit_fraction", "stale"), required=True),
+        "crash_at_ms": Field("int", 0, _MAX_MS, _MS, default=0),
+        "omit_p": Field("num", 0, 1, default=0.0)}),
+    "byzantine": Field("object", default={"garble_p": 0.3, "drop_p": 0.2}, keys={
+        "garble_p": Field("num", 0, 1, default=0.0),
+        "drop_p": Field("num", 0, 1, default=0.0)}),
+    "pool": _COUNT,
+    "deposit": Field("object", default={}, keys={
+        "gain_cap": Field("int", 0, 10**6, _COINS, default=400),
+        "factor": Field("ratio", 0, _MAX_DEPOSIT_FACTOR, default="0.1"),
+        "blockdepth": Field("int", 0, 10**6, " (blocks)", default=28),
+        "balance": Field("int", 0, 10**6, _COINS, default=1000)}),
+    "payload": Field("enum", choices=("tokens", "ledger")),
+    "txs_per_block": Field("int", 0, 1000),
+}
+# the fields a Scenario may leave as None, meaning absent
+_OPTIONAL = frozenset(f.name for f in fields(Scenario) if f.default is None)
 
 
-def _bounded(bad: list, label: str, v, lo: int, hi: int, unit: str = "") -> bool:
-    """Whether ``v`` is an integer in [lo, hi] (lo is 0 or 1); if not, say so."""
-    if _is_int(v) and lo <= v <= hi:
-        return True
-    sign = "positive" if lo else "non-negative"
-    bad.append("%s: must be a %s integer%s, at most %d" % (label, sign, unit, hi))
-    return False
+def _problems(path: str, spec: Field, v) -> list[str]:
+    """Diagnostics for the value ``v`` of the field at ``path``."""
+    if spec.kind != "object" or not isinstance(v, dict):
+        fits = spec.kind != "object" and spec.fits(v)
+        return [] if fits else ["%s: %s" % (path, spec.rule())]
+    keys, msg = spec.keys, spec.msg
+    if spec.models is not None:
+        model = v.get("model", keys["model"].default)
+        if not keys["model"].fits(model):
+            return _problems(path + ".model", keys["model"], model)
+        keys, msg = {**keys, **spec.models[model].keys}, spec.models[model].msg
+    unknown = sorted(set(v) - set(keys), key=str)
+    if unknown:
+        return ["%s.%s: unknown field" % (path, key) for key in unknown]
+    bad = []
+    for key, sub in keys.items():
+        if key in v:
+            bad += _problems("%s.%s" % (path, key), sub, v[key])
+        elif sub.required:
+            bad.append("%s.%s: required field missing" % (path, key))
+    return ["%s: %s" % (path, msg)] if bad and msg else bad
+
+
+def _filled(scn: Scenario, key: str) -> Optional[dict]:
+    """Object field ``key`` of a valid ``scn`` with each missing key set to
+    its default (the field's default object if it is absent or empty)."""
+    spec = SCHEMA[key]
+    value = getattr(scn, key) or spec.default
+    if value is None:
+        return None
+    keys = spec.keys
+    if spec.models is not None:
+        keys = {**keys, **spec.models[value.get("model", keys["model"].default)].keys}
+    return {**{k: sub.default for k, sub in keys.items()}, **value}
 
 
 def validate_scenario(scn: Scenario) -> list[str]:
-    bad = []
-    n = scn.n
-    if not _bounded(bad, "n", n, 1, _MAX_PROCESSES):
+    """Each field checked against the schema, then the rules that tie the
+    fields that passed to each other."""
+    bad, ok = [], set(SCHEMA)
+    for key, spec in SCHEMA.items():
+        v = getattr(scn, key)
+        problems = _problems(key, spec, v) if v is not None or key not in _OPTIONAL else []
+        if problems:
+            bad += problems
+            ok.discard(key)
+    if "n" not in ok:
         return bad
-    if not isinstance(scn.name, str) or not scn.name:
-        bad.append("name: must be a non-empty string")
-    for name in ("t", "d", "q"):
-        v = getattr(scn, name)
-        if not _is_int(v) or v < 0:
-            bad.append("%s: must be a non-negative integer" % name)
-    d = scn.d if _is_int(scn.d) and scn.d <= n else 0
-    if not bad and scn.t + scn.d + scn.q > n:
+    n = scn.n
+    d = scn.d if "d" in ok and scn.d <= n else 0
+    if {"t", "d", "q"} <= ok and scn.t + scn.d + scn.q > n:
         bad.append("t+d+q: fault counts exceed n")
-    h0 = scn.h0 if scn.h0 is not None else default_h0(n)
-    if not _is_int(h0) or not (n // 2 < h0 <= n):
-        bad.append("h0: must satisfy n/2 < h0 <= n")
-    hp = scn.h_prime0
-    if isinstance(hp, str):
-        if hp not in H_PRIME_PRESETS:
-            bad.append("h_prime0: unknown preset %r" % hp)
-    elif not (_is_int(hp) and n // 2 < hp <= n):
-        bad.append("h_prime0: must be a preset name or satisfy n/2 < h' <= n")
-    if scn.mode != "superblock":
-        bad.append("mode: must be 'superblock'")
-    if scn.payload not in PAYLOAD_KINDS:
-        bad.append("payload: must be one of %s" % (PAYLOAD_KINDS,))
-    ms = " (milliseconds)"
-    for name in ("delta_ms", "horizon_ms"):
-        _bounded(bad, name, getattr(scn, name), 1, _MAX_MS, ms)
-    if (
-        _bounded(bad, "gst_ms", scn.gst_ms, 0, _MAX_MS, ms)
-        and _is_int(scn.horizon_ms)
-        and scn.horizon_ms <= scn.gst_ms
-    ):
+    for key in ("h0", "h_prime0"):
+        h = getattr(scn, key)
+        if key in ok and isinstance(h, int) and not n // 2 < h <= n:
+            bad.append("%s: %s" % (key, SCHEMA[key].rule()))
+    if {"gst_ms", "horizon_ms"} <= ok and scn.horizon_ms <= scn.gst_ms:
         bad.append("horizon_ms: must exceed gst_ms")
-    _bounded(bad, "heights", scn.heights, 1, _MAX_HEIGHTS)
-    if not _is_seq(scn.seeds) or not scn.seeds or not all(map(_is_int, scn.seeds)):
-        bad.append("seeds: must be a non-empty list of integers")
-    _bounded(bad, "pool", scn.pool, 0, _MAX_PROCESSES)
-    _bounded(bad, "txs_per_block", scn.txs_per_block, 0, _MAX_TXS)
-    bad.extend(_check_delay("delay", scn.delay))
-    if scn.cross_delay is not None:
-        bad.extend(_check_delay("cross_delay", scn.cross_delay))
-    if scn.alpha is not None:
-        try:
-            a = as_fraction(scn.alpha)
-        except (ValueError, ZeroDivisionError, TypeError):
-            bad.append("alpha: not a ratio")
-        else:
-            if not (0 <= a <= Fraction(2, 3)):
-                bad.append("alpha: must lie in [0, 2/3]")
-    for key in ("attack", "benign", "byzantine", "deposit"):
-        if getattr(scn, key) is not None and not isinstance(getattr(scn, key), dict):
-            bad.append("%s: must be an object" % key)
-    parts = scn.partitions
-    if parts is not None and not (_is_seq(parts) and all(map(_is_seq, parts))):
-        bad.append("partitions: must be a list of pid lists")
-    elif parts is not None:
-        seen: set[int] = set()
-        for i, part in enumerate(parts):
-            for pid in part:
-                if not _is_int(pid) or not (1 <= pid <= n):
-                    bad.append("partitions[%d]: pid %r out of range" % (i, pid))
-                elif pid <= d:
-                    bad.append(
-                        "partitions[%d]: pid %d is deceitful, not a partition member"
-                        % (i, pid)
-                    )
-                elif pid in seen:
-                    bad.append("partitions[%d]: pid %d listed twice" % (i, pid))
-                else:
-                    seen.add(pid)
+    parts = scn.partitions if "partitions" in ok else None
+    seen: set[int] = set()
+    for i, part in enumerate(parts or ()):
+        for pid in part:
+            why = (
+                "out of range" if not 1 <= pid <= n
+                else "is deceitful, not a partition member" if pid <= d
+                else "listed twice" if pid in seen else ""
+            )
+            if why:
+                bad.append("partitions[%d]: pid %d %s" % (i, pid, why))
+            seen.add(pid)
     if isinstance(scn.attack, dict):
-        kind = scn.attack.get("kind")
-        if kind not in ATTACK_KINDS:
-            bad.append("attack.kind: must be one of %s" % (ATTACK_KINDS,))
         if d < 1:
             bad.append("attack: requires d >= 1")
-        if not _is_seq(parts) or len(parts) < 2:
+        if not parts or len(parts) < 2:
             bad.append("attack: requires >= 2 partitions to play against")
-        targets = scn.attack.get("targets", 0)
-        if not _is_int(targets) or not (0 <= targets <= d):
+        attack = _filled(scn, "attack") if "attack" in ok else None
+        if attack and attack["targets"] > d:
             bad.append("attack.targets: must be an integer in [0, d]")
-        elif kind == "binary-fork" and targets < 1:
+        elif attack and attack["kind"] == "binary-fork" and attack["targets"] < 1:
             bad.append("attack.targets: binary-fork needs at least one target")
-        retire = scn.attack.get("retire_ms")
-        if retire is not None:
-            _bounded(bad, "attack.retire_ms", retire, 0, _MAX_MS, ms)
-        known = ("kind", "targets", "retire_ms")
-        bad.extend(_unknown_keys("attack", scn.attack, known))
-    if isinstance(scn.benign, dict):
-        kind = scn.benign.get("kind")
-        if kind not in BENIGN_KINDS:
-            bad.append("benign.kind: must be one of %s" % (BENIGN_KINDS,))
-        crash = scn.benign.get("crash_at_ms", 0)
-        _bounded(bad, "benign.crash_at_ms", crash, 0, _MAX_MS, ms)
-        omit = scn.benign.get("omit_p", 0.0)
-        if not _is_num(omit) or not (0 <= omit <= 1):
-            bad.append("benign.omit_p: must lie in [0, 1]")
-        known = ("kind", "crash_at_ms", "omit_p")
-        bad.extend(_unknown_keys("benign", scn.benign, known))
-    if isinstance(scn.byzantine, dict):
-        g = scn.byzantine.get("garble_p", 0.0)
-        p = scn.byzantine.get("drop_p", 0.0)
-        ok = all(_is_num(x) and 0 <= x <= 1 for x in (g, p))
-        if not ok or g + p > 1:
-            bad.append("byzantine: garble_p/drop_p must lie in [0,1] and sum to <= 1")
-        bad.extend(_unknown_keys("byzantine", scn.byzantine, ("garble_p", "drop_p")))
-    if isinstance(scn.deposit, dict):
-        for key, hi, unit in (("gain_cap", _MAX_COINS, " (coin units)"),
-                              ("blockdepth", _MAX_HEIGHTS, " (blocks)"),
-                              ("balance", _MAX_COINS, " (coin units)")):
-            _bounded(bad, "deposit." + key, scn.deposit.get(key, 0), 0, hi, unit)
-        try:
-            factor = as_fraction(scn.deposit.get("factor", "0.1"))
-        except (ValueError, ZeroDivisionError, TypeError):
-            factor = None
-        if factor is None or not 0 <= factor <= _MAX_DEPOSIT_FACTOR:
-            bad.append(
-                "deposit.factor: must be a non-negative ratio, at most %d"
-                % _MAX_DEPOSIT_FACTOR
-            )
-        known = ("gain_cap", "factor", "blockdepth", "balance")
-        bad.extend(_unknown_keys("deposit", scn.deposit, known))
+    byzantine = _filled(scn, "byzantine") if "byzantine" in ok else None
+    if byzantine and byzantine["garble_p"] + byzantine["drop_p"] > 1:
+        bad.append("byzantine: garble_p + drop_p must be at most 1")
+    for key in ("delay", "cross_delay"):
+        delay = _filled(scn, key) if key in ok else None
+        if delay and delay["model"] == "uniform" and delay["lo_ms"] > delay["hi_ms"]:
+            bad.append("%s: %s" % (key, _DELAY_MODELS["uniform"].msg))
+        elif delay and delay["model"] == "trace":
+            table, regions = delay["table"], delay["regions"]
+            pairs = {(a, b) for a, b, _ in table} | {(b, a) for a, b, _ in table}
+            missing = sorted({(a, b) for a in regions for b in regions} - pairs)
+            if missing:
+                bad.append("%s.table: no latency for region pair %s" % (key, missing[0]))
     return bad
 
 
-_DELAY_KEYS = {
-    "uniform": ("model", "lo_ms", "hi_ms"),
-    "gamma": ("model", "scale_ms", "shape"),
-    "trace": ("model", "table", "regions", "jitter_ms"),
-}
-
-
-def _check_delay(label: str, spec) -> list[str]:
-    if not isinstance(spec, dict):
-        return ["%s: must be an object" % label]
-    model = spec.get("model", "uniform")
-    if not isinstance(model, str) or model not in _DELAY_KEYS:
-        return ["%s.model: unknown model %r" % (label, model)]
-    unknown = _unknown_keys(label, spec, _DELAY_KEYS[model])
-    if unknown:
-        return unknown
-    if model == "uniform":
-        lo, hi = spec.get("lo_ms"), spec.get("hi_ms")
-        if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
-            return ["%s: uniform needs integers 0 <= lo_ms <= hi_ms" % label]
-        if hi > _MAX_MS:
-            return ["%s.hi_ms: must be at most %d (milliseconds)" % (label, _MAX_MS)]
-    elif model == "gamma":
-        scale, shape = spec.get("scale_ms"), spec.get("shape", 2.5)
-        if not (
-            _is_num(scale) and _is_num(shape)
-            and 1 <= scale * TICKS_PER_MS <= _MAX_MS * TICKS_PER_MS
-            and 0 < shape <= _MAX_GAMMA_SHAPE
-        ):
-            return [
-                "%s: gamma needs shape in (0, %d] and scale_ms in [%g, %d]"
-                % (label, _MAX_GAMMA_SHAPE, 1 / TICKS_PER_MS, _MAX_MS)
-            ]
-    else:
-        table, regions = spec.get("table"), spec.get("regions")
-        if not table or not regions:
-            return ["%s: trace needs table and regions" % label]
-        if not _is_seq(regions) or not all(isinstance(r, str) for r in regions):
-            return ["%s.regions: must be a list of region names" % label]
-        if not _is_seq(table) or not all(
-            _is_seq(row) and len(row) == 3 and isinstance(row[0], str)
-            and isinstance(row[1], str) and _is_num(row[2])
-            and 0 <= row[2] <= _MAX_MS
-            for row in table
-        ):
-            return [
-                "%s.table: rows must be [region, region, ms in [0, %d]]"
-                % (label, _MAX_MS)
-            ]
-        pairs = {(a, b) for a, b, _ in table} | {(b, a) for a, b, _ in table}
-        missing = sorted({(a, b) for a in regions for b in regions} - pairs)
-        if missing:
-            return ["%s.table: no latency for region pair %s" % (label, missing[0])]
-        bad: list[str] = []
-        _bounded(bad, label + ".jitter_ms", spec.get("jitter_ms", 1), 0, _MAX_MS)
-        return bad
-    return []
-
-
 def _delay_model(spec: dict):
-    model = spec.get("model", "uniform")
+    """The network's delay model for a filled-in delay object."""
+    model = spec["model"]
     if model == "uniform":
         return UniformDelay(spec["lo_ms"] * TICKS_PER_MS, spec["hi_ms"] * TICKS_PER_MS)
     if model == "gamma":
-        return GammaDelay(spec.get("shape", 2.5), int(spec["scale_ms"] * TICKS_PER_MS))
+        return GammaDelay(spec["shape"], int(spec["scale_ms"] * TICKS_PER_MS))
     return TraceDelay(
         table=tuple((a, b, ms * TICKS_PER_MS) for a, b, ms in spec["table"]),
         regions=tuple(spec["regions"]),
-        jitter=spec.get("jitter_ms", 1) * TICKS_PER_MS,
+        jitter=spec["jitter_ms"] * TICKS_PER_MS,
     )
 
 
@@ -456,13 +467,11 @@ class AdversaryBrain:
         scn = world.scn
         self.net = world.net
         self.deceitful = tuple(world.roles.deceitful)
-        attack = scn.attack or {}
-        retire_ms = attack.get("retire_ms")
-        self.retire_at = (
-            scn.gst_ms if retire_ms is None else retire_ms
-        ) * TICKS_PER_MS
-        self.kind = attack.get("kind", "broadcast-fork")
-        self.targets = attack.get("targets", 0)
+        attack = _filled(scn, "attack")
+        retire_ms = attack["retire_ms"]
+        self.retire_at = (scn.gst_ms if retire_ms is None else retire_ms) * TICKS_PER_MS
+        self.kind = attack["kind"]
+        self.targets = attack["targets"]
         self.camps = camps
         self.camp_of = {pid: ci for ci, camp in enumerate(camps) for pid in camp}
         self.shadows: dict[tuple, AsmrProcess] = {}
@@ -584,8 +593,8 @@ class World:
         netcfg = NetConfig(
             delta=delta,
             gst=scn.gst_ms * TICKS_PER_MS,
-            base=_delay_model(scn.delay),
-            cross=_delay_model(scn.cross_delay) if scn.cross_delay else None,
+            base=_delay_model(_filled(scn, "delay")),
+            cross=_delay_model(_filled(scn, "cross_delay")) if scn.cross_delay else None,
         )
         self.net = VirtualNet(netcfg, seed, scn.horizon_ms * TICKS_PER_MS)
 
@@ -608,14 +617,9 @@ class World:
         self._blocks_old: dict[bytes, tuple] = {}
         self._blocks_low = 0
         if scn.payload == "ledger":
-            dep = scn.deposit or {}
-            self.policy = DepositPolicy(
-                gain_cap=dep.get("gain_cap", 400),
-                factor=dep.get("factor", "0.1"),
-                n=n,
-                blockdepth=dep.get("blockdepth", 28),
-            )
-            balances = {pid: dep.get("balance", 1000) for pid in all_pids}
+            dep = _filled(scn, "deposit")
+            self.policy = DepositPolicy(dep["gain_cap"], dep["factor"], n, dep["blockdepth"])
+            balances = {pid: dep["balance"] for pid in all_pids}
             # balances split into <=100-coin outputs: one synthetic spend then
             # moves at most 100, keeping any txs_per_block<=4 block under the
             # default gain cap instead of busting it with whole-balance coins
@@ -778,21 +782,18 @@ class World:
     def _wire_faults(self) -> None:
         scn = self.scn
         if self.roles.benign:
-            spec = scn.benign or {"kind": "crash_at", "crash_at_ms": 0}
-            behavior = BenignBehavior(
-                kind=spec.get("kind", "crash_at"),
-                crash_at=spec.get("crash_at_ms", 0) * TICKS_PER_MS,
-                omit_p=spec.get("omit_p", 0.0),
-            )
+            spec = _filled(scn, "benign")
+            crash_at = spec["crash_at_ms"] * TICKS_PER_MS
+            behavior = BenignBehavior(spec["kind"], crash_at, spec["omit_p"])
             for pid in self.roles.benign:
                 rng = random.Random(self.seed * 7919 + pid)
                 self.net.send_filters[pid] = make_benign_filter(self.net, behavior, rng)
         if self.roles.byzantine:
-            spec = scn.byzantine or {"garble_p": 0.3, "drop_p": 0.2}
+            spec = _filled(scn, "byzantine")
             for pid in self.roles.byzantine:
                 rng = random.Random(self.seed * 104729 + pid)
                 self.net.send_filters[pid] = make_garble_filter(
-                    rng, spec.get("garble_p", 0.0), spec.get("drop_p", 0.0)
+                    rng, spec["garble_p"], spec["drop_p"]
                 )
 
     # -- running ---------------------------------------------------------------
@@ -1184,5 +1185,4 @@ def llb_scenario(
 
 def complexity_scenario(n: int, *, seeds: tuple = (1,)) -> Scenario:
     """Message-count measurement shape: all-honest, fully post-stabilisation."""
-    scn = clean_scenario(n, heights=1, seeds=seeds, gst_ms=0, horizon_ms=120_000)
-    return scn
+    return clean_scenario(n, heights=1, seeds=seeds, gst_ms=0, horizon_ms=120_000)

@@ -4,9 +4,8 @@ Every test prints a single PASS line with its headline numbers (run pytest
 with -s to watch them stream).  Criteria 01-05, 07, 08 and 10 apply the check
 functions that `accbft suite` runs, so each bound has one definition in
 accbft.harness; criteria 06, 09 and 11 have no suite twin.  The seeded
-batches run on one worker process per CPU.  The whole test suite took 171 s
-on a 2-vCPU VM, 97 s of it in the message-growth sweep of criterion 10, 23 s
-in criterion 02 and 21 s in criterion 08.  Those three are marked slow.
+batches run on one worker process per CPU.  Criteria 02, 08 and 10 run the
+longest batches and are marked slow.
 """
 
 import random
@@ -80,13 +79,9 @@ def flat(state):
 
 
 @pytest.fixture(scope="module")
-def spam_records():
-    return harness.spam_records(SEEDS)
-
-
-@pytest.fixture(scope="module")
-def fork_records():
-    return harness.fork_records(SEEDS)
+def attack_checks():
+    """The attack suite's checks over SEEDS seeds of each attack, by label."""
+    return {check[0]: check for check in harness.suite_attack(SEEDS)}
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +106,16 @@ def test_criterion_02_agreement_under_tolerated_faults():
     passes("02", harness.check_agreement(records), suffix=", %.1fs" % elapsed)
 
 
-def test_criterion_03_spammer_excluded_exactly_once(spam_records):
-    passes("03", harness.check_spam(spam_records))
+def test_criterion_03_spammer_excluded_exactly_once(attack_checks):
+    passes("03", attack_checks["spam-terminates-after-one-exclusion"])
 
 
-def test_criterion_04_disagreement_leaves_enough_proofs(fork_records):
-    passes("04", *(harness.check_accountability(k, r) for k, r in fork_records.items()))
+def test_criterion_04_disagreement_leaves_enough_proofs(attack_checks):
+    passes("04", *(attack_checks["%s-accountability" % k] for k in harness.FORK_KINDS))
 
 
-def test_criterion_05_branch_bound(spam_records, fork_records):
-    attack_runs = spam_records + [r for recs in fork_records.values() for r in recs]
-    passes("05", harness.check_branch_bound(attack_runs))
+def test_criterion_05_branch_bound(attack_checks):
+    passes("05", attack_checks["branch-bound-oracle"])
 
 
 def test_criterion_06_alpha_confirmation_thresholds():
@@ -148,7 +142,7 @@ def test_criterion_07_quoted_depth_for_51_branches():
 
 @pytest.mark.slow
 def test_criterion_08_membership_convergence():
-    passes("08", harness.check_llb(harness.llb_records(5)))
+    passes("08", *harness.suite_membership(5))
 
 
 def test_criterion_09_fork_merge_matches_replay_oracle():

@@ -337,6 +337,14 @@ def test_run_rejects_broken_scenarios(capsys, tmp_path):
             {"payload": "ledger", "deposit": {"factor": 10**400}},
             "deposit.factor: must be a non-negative ratio, at most 1000",
         ),
+        ({"name": "../escaped"}, "name: must match"),
+        ({"name": "sub/dir"}, "name: must match"),
+        ({"alpha": False}, "alpha: must be a non-negative ratio, at most 2/3"),
+        ({"alpha": True}, "alpha: must be a non-negative ratio, at most 2/3"),
+        (
+            {"payload": "ledger", "deposit": {"factor": True}},
+            "deposit.factor: must be a non-negative ratio, at most 1000",
+        ),
     ],
 )
 def test_run_rejects_hostile_scenario_fields(capsys, tmp_path, fields, diagnostic):
@@ -344,11 +352,13 @@ def test_run_rejects_hostile_scenario_fields(capsys, tmp_path, fields, diagnosti
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(raw))
     code, _, err = run_cli(
-        capsys, "run", "--scenario", str(path), "--outdir", str(tmp_path)
+        capsys, "run", "--scenario", str(path), "--outdir", str(tmp_path / "out")
     )
     assert code == EX_SCENARIO
     assert err.startswith("scenario error:")
     assert diagnostic in err and "Traceback" not in err
+    # nothing written, inside the output directory or next to it
+    assert [p.name for p in tmp_path.iterdir()] == ["hostile.json"]
 
 
 def test_run_reports_invariant_violations_with_exit_3(capsys, tmp_path):

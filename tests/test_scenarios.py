@@ -22,7 +22,10 @@ from accbft.ledger import (
 )
 from accbft.scenarios import (
     _MAX_DEPOSIT_FACTOR,
+    _REQUIRED,
     RECORD_SCHEMA,
+    SCHEMA,
+    Field,
     Scenario,
     ScenarioError,
     World,
@@ -77,13 +80,19 @@ def test_fault_counts_must_fit():
 def test_threshold_fields_are_checked():
     assert "h0: must satisfy n/2 < h0 <= n" in problems_of({**MINIMAL, "h0": 2})
     assert "h0: must satisfy n/2 < h0 <= n" in problems_of({**MINIMAL, "h0": 5})
-    bad_preset = problems_of({**MINIMAL, "h_prime0": "optimistic"})
-    assert any(p.startswith("h_prime0: unknown preset") for p in bad_preset)
+    preset = (
+        "h_prime0: must be one of ('eventual-consensus', 'consensus',"
+        " 'awareness-optimal') or satisfy n/2 < h' <= n"
+    )
+    assert preset in problems_of({**MINIMAL, "h_prime0": "optimistic"})
+    assert preset in problems_of({**MINIMAL, "h_prime0": 2})
 
 
 def test_alpha_is_checked():
-    assert "alpha: must lie in [0, 2/3]" in problems_of({**MINIMAL, "alpha": "3/4"})
-    assert "alpha: not a ratio" in problems_of({**MINIMAL, "alpha": "often"})
+    for alpha in ("3/4", "often"):
+        assert problems_of({**MINIMAL, "alpha": alpha}) == [
+            "alpha: must be a non-negative ratio, at most 2/3"
+        ]
 
 
 def test_partition_membership_is_checked():
@@ -121,9 +130,9 @@ def test_behavior_specs_are_checked():
 
 def test_delay_specs_are_checked():
     bad = problems_of({**MINIMAL, "delay": {"model": "uniform", "lo_ms": 5}})
-    assert bad == ["delay: uniform needs integers 0 <= lo_ms <= hi_ms"]
+    assert bad == ["delay: uniform needs integers 0 <= lo_ms <= hi_ms <= 1000000000"]
     bad = problems_of({**MINIMAL, "delay": {"model": "quantum"}})
-    assert bad == ["delay.model: unknown model 'quantum'"]
+    assert bad == ["delay.model: must be one of ('uniform', 'gamma', 'trace')"]
 
 
 def test_load_scenario_reports_json_problems(tmp_path):
@@ -160,6 +169,65 @@ def test_load_scenario_round_trips_through_json(tmp_path):
 def test_builtin_scenarios_validate_and_round_trip(scn):
     assert validate_scenario(scn) == []
     assert scenario_from_dict(scn.to_dict()) == scn
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_example():
+    """The JSON example in the README's "Scenario files" section."""
+    section = (_ROOT / "README.md").read_text().split("## Scenario files", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize(
+    "source",
+    sorted((_ROOT / "scenarios").glob("*.json")) + ["README"],
+    ids=lambda source: getattr(source, "stem", source),
+)
+def test_stock_scenarios_load_and_build(source):
+    if source == "README":
+        scn = scenario_from_dict(_readme_example())
+    else:
+        scn = load_scenario(source)
+    world = World(scn, 1)
+    assert set(world.members) <= set(world.net.hosts)
+
+
+def _readme_table():
+    """The README's field table, rendered from the schema: one row per field
+    and per key of an object field, with the rule its diagnostic states."""
+    rows = ["| field | type | default | rule |", "| --- | --- | --- | --- |"]
+
+    def row(label, spec, default, required):
+        if required:
+            text = "required"
+        elif default is not None:
+            text = "`%s`" % json.dumps(default)
+        else:
+            text = spec.note
+        rows.append("| %s | %s | %s | %s |" % (label, spec.kind, text, spec.rule()))
+
+    for f in dataclasses.fields(Scenario):
+        spec = SCHEMA[f.name]
+        default = f.default
+        if f.default_factory is not dataclasses.MISSING:
+            default = f.default_factory()
+        row("`%s`" % f.name, spec, spec.default if default is None else default,
+            f.name in _REQUIRED)
+        keys = [("", spec.keys or {})]
+        keys += [(" (%s)" % name, model.keys) for name, model in (spec.models or {}).items()]
+        for model, subs in keys:
+            for key, sub in subs.items():
+                row("`%s.%s`%s" % (f.name, key, model), sub, sub.default, sub.required)
+    return rows
+
+
+def test_readme_field_table_matches_the_schema():
+    assert list(SCHEMA) == [f.name for f in dataclasses.fields(Scenario)]
+    readme = (_ROOT / "README.md").read_text()
+    start = readme.index(_readme_table()[0])
+    assert readme[start:readme.index("\n\n", start)] == "\n".join(_readme_table())
 
 
 def test_assign_roles_layout():
@@ -407,8 +475,9 @@ def test_block_table_stays_bounded_as_heights_grow():
 # -- fuzzed scenario files -----------------------------------------------------
 
 # Near-miss scenario files: a few fields of a stock scenario replaced by values
-# of roughly the right shape (small integers, the schema's own words, objects
-# with that object's keys) or by arbitrary JSON, and objects merged key by key.
+# drawn from the schema (each field's valid range, its bounds' near misses,
+# huge and non-finite numbers, the wrong type, objects with that object's
+# keys) or by arbitrary JSON, and objects merged key by key.
 _WORDS = (
     "uniform", "gamma", "trace", "broadcast-fork", "binary-fork", "crash_at",
     "omit_fraction", "stale", "ledger", "tokens", "consensus", "min-index",
@@ -439,40 +508,85 @@ def _some_of(shapes: dict):
     )
 
 
-_DELAY = _some_of(
-    {
-        "model": _WORD, "lo_ms": _INT, "hi_ms": _INT, "scale_ms": _NUM,
-        "shape": _NUM, "jitter_ms": _INT, "regions": st.lists(_WORD, max_size=3),
-        "table": st.lists(st.tuples(_WORD, _WORD, _NUM).map(list), max_size=4),
-        "typo": _INT,
-    }
-)
-_OVERRIDES = _some_of(
-    {
-        **{k: _INT for k in ("n", "t", "d", "q", "delta_ms", "gst_ms", "horizon_ms",
-                             "h0", "heights", "pool", "txs_per_block", "typo")},
-        **{k: _WORD for k in ("name", "mode", "payload")},
-        **{k: st.one_of(_WORD, _NUM) for k in ("alpha", "h_prime0")},
-        "seeds": st.lists(_INT, max_size=3),
-        "partitions": st.lists(
-            st.lists(st.one_of(_INT, _JSON), max_size=3), max_size=3
-        ),
-        "delay": _DELAY,
-        "cross_delay": _DELAY,
-        "attack": _some_of(
-            {"kind": _WORD, "targets": _INT, "retire_ms": _INT, "typo": _INT}
-        ),
-        "benign": _some_of(
-            {"kind": _WORD, "crash_at_ms": _INT, "omit_p": _NUM, "typo": _INT}
-        ),
-        "byzantine": _some_of({"garble_p": _NUM, "drop_p": _NUM, "typo": _INT}),
-        "deposit": _some_of(
-            {"gain_cap": _INT, "factor": st.one_of(_WORD, _NUM, _HUGE_RATIO),
-             "blockdepth": _INT,
-             "balance": _INT, "typo": _INT}
-        ),
-    }
-)
+# A value of the wrong type for most fields.
+_WRONG = st.sampled_from([True, False, "1", [1], {"k": 1}])
+# Names that must not become the stem of an output path.
+_BAD_NAMES = st.sampled_from(["", "../escaped", "sub/dir", ".hidden", "x" * 129])
+
+
+def _valid(spec):
+    """Values that pass the schema check of one field."""
+    kind, lo, hi = spec.kind, spec.lo, spec.hi
+    if kind == "object":
+        return _objects(spec, _valid)
+    if kind == "list" and not isinstance(spec.item, Field):
+        return st.tuples(*map(_valid, spec.item)).map(list)
+    if kind == "list":
+        return st.lists(_valid(spec.item), min_size=lo or 0, max_size=4)
+    if kind == "str" and spec.pattern == Field("str").pattern:
+        # any string fits: draw a few, so a trace's regions and table share names
+        return st.sampled_from(["eu", "us"])
+    if kind == "str":
+        return st.from_regex(spec.pattern, fullmatch=True)
+    if kind == "enum" and hi is not None:
+        return st.one_of(st.sampled_from(spec.choices), st.integers(lo, hi))
+    if kind == "enum":
+        return st.sampled_from(spec.choices)
+    if kind == "int":
+        # small values only: a large n or pool builds a large world
+        return st.integers(-3, 40) if hi is None else st.integers(lo, min(hi, lo + 40))
+    if kind == "num":
+        return st.floats(lo, hi, exclude_min=spec.open_lo)
+    return st.one_of(st.fractions(lo, hi).map(str), st.floats(lo, float(hi)))
+
+
+def _values(spec):
+    """Values for one field: valid ones, each bound's near miss, huge and
+    non-finite numbers, and values of the wrong type."""
+    kind, lo, hi, item = spec.kind, spec.lo, spec.hi, spec.item
+    if kind == "object":
+        return st.one_of(_valid(spec), _objects(spec, _values), _WRONG)
+    if kind == "list":
+        row = not isinstance(item, Field)
+        items = st.tuples(*map(_values, item)).map(list) if row else _values(item)
+        return st.one_of(_valid(spec), st.lists(items, max_size=4), _WRONG)
+    if kind == "str":
+        return st.one_of(_valid(spec), _WORD, _BAD_NAMES, _INT)
+    if kind == "enum":
+        return st.one_of(_valid(spec), _WORD, _WRONG)
+    if hi is None:
+        near = _HUGE
+    elif kind == "num":
+        below = st.floats(lo - 1, lo, exclude_max=not spec.open_lo)
+        near = st.one_of(below, st.floats(hi, hi + 1, exclude_min=True))
+    elif kind == "ratio":
+        near = st.one_of(st.sampled_from([str(lo - 1), str(hi + 1)]), _HUGE_RATIO, _WORD)
+    else:
+        near = st.sampled_from([lo - 1, hi + 1])
+    return st.one_of(_valid(spec), near, _HUGE, _WRONG)
+
+
+def _objects(spec, values):
+    """Objects for an object field, with values drawn by ``values``: every
+    required key and some others, or (for ``_values``) that plus a stray key,
+    or up to three keys of any kind.  A delay draws one model's keys."""
+    if spec.models is None:
+        shapes = [(spec.keys, {})]
+    else:
+        shapes = [(m.keys, {"model": st.just(name)}) for name, m in spec.models.items()]
+    drawn = []
+    for keys, fixed in shapes:
+        each = {k: values(f) for k, f in keys.items()}
+        required = {k: v for k, v in each.items() if keys[k].required}
+        optional = {k: v for k, v in each.items() if k not in required}
+        full = st.fixed_dictionaries({**fixed, **required}, optional=optional)
+        drawn.append(full)
+        if values is _values:
+            drawn += [full.map(lambda obj: {**obj, "typo": 1}), _some_of(each)]
+    return st.one_of(drawn)
+
+
+_OVERRIDES = _some_of({**{key: _values(spec) for key, spec in SCHEMA.items()}, "typo": _INT})
 _BASES = (
     clean_scenario(4).to_dict(),
     spam_scenario().to_dict(),
@@ -518,28 +632,7 @@ def test_fuzzed_scenarios_parse_or_fail_with_diagnostics(base, over):
 # Whole delay objects of each model, with its own fields only, so the
 # model-specific number checks are reached: a near-miss merged into a base's
 # uniform delay keeps lo_ms and hi_ms, and stops at the unknown-field check.
-_REGION = st.sampled_from(["eu", "us"])
-_DELAYS = st.one_of(
-    st.fixed_dictionaries({"model": st.just("uniform"), "lo_ms": _INT, "hi_ms": _INT}),
-    st.fixed_dictionaries(
-        {"model": st.just("gamma"), "scale_ms": _NUM},
-        optional={"shape": _NUM},
-    ),
-    st.fixed_dictionaries(
-        {
-            "model": st.just("trace"),
-            "regions": st.just(["eu", "us"]),
-            "table": st.lists(
-                st.tuples(_REGION, _REGION, _NUM).map(list),
-                min_size=1,
-                max_size=4,
-            ),
-        }
-    ),
-)
-
-
 @settings(max_examples=200, deadline=None)
-@given(_DELAYS, st.sampled_from(["delay", "cross_delay"]))
+@given(_values(SCHEMA["delay"]), st.sampled_from(["delay", "cross_delay"]))
 def test_fuzzed_delay_models_parse_or_fail_with_diagnostics(delay, field):
     _parse_or_diagnose({**fork_scenario("binary-fork").to_dict(), field: delay})
