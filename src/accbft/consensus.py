@@ -8,7 +8,9 @@ proofs), and routes them into per-instance state machines.  Routing is one
 table, ``NodeCore.routes``, from instance id to (context, instance): every
 message belongs to exactly one broadcast slot, binary vote or confirmation
 echo, and context keys are unique per core, so the tally, the dispatch, the
-timers and the instance callbacks each take one lookup.  Set-exchange
+timers and the instance callbacks each take one lookup.  At each new main
+height the core forgets the contexts no input can change any more; the store
+keeps their messages, so they can still convict a signer.  Set-exchange
 bundles, certificate cross-checks, and exclusion recounts all read from that
 one store, which is what makes accountability automatic: any certificate that
 crosses a partition is taken apart and checked against what we stored locally.
@@ -72,16 +74,25 @@ class MessageStore:
     A duplicate that carries a certificate when the stored copy has none
     upgrades the stored copy in place: justifications travel lazily.
 
+    Live instances are indexed twice: ``slots`` by slot and ``by_instance``
+    by instance, in first-admission order.  ``retire(iid)`` takes an instance
+    whose state machine can no longer act out of both, and keeps its log,
+    every message and its certificate, in ``retired``: admission still finds
+    a conflict, a duplicate or an upgrade there by scanning that log, so a
+    late equivocation yields the same proof of fraud as before.  A new
+    message for a retired instance joins its log, never ``slots``.
+
     ``mark`` is this store's bit in ``SignedMessage._held``: it is set on the
-    very object a slot holds and moved to the new copy on an upgrade, so
-    ``m._held & store.mark`` is ``store.slots.get(m.slot()) is m`` without
-    hashing the slot.  Stores that see the same message objects (the stores of
-    one network) need distinct marks.
+    very object the live index or a retired log holds for a slot, and moved
+    to the new copy on an upgrade, so ``m._held & store.mark`` tells whether
+    the store holds m itself without hashing the slot.  Stores that see the
+    same message objects (the stores of one network) need distinct marks.
     """
 
     def __init__(self, mark: int) -> None:
         self.slots: dict[tuple, SignedMessage] = {}
         self.by_instance: dict[InstanceId, list[SignedMessage]] = {}
+        self.retired: dict[InstanceId, list[SignedMessage]] = {}
         self.mark = mark
 
     def group(
@@ -112,21 +123,37 @@ class MessageStore:
         """Returns (status, pof) with status in new|dup|upgraded|conflict."""
         key = msg.slot()
         prev = self.slots.get(key)
-        if prev is not None:
-            if prev.payload != msg.payload:
-                return "conflict", derive_pof(registry, prev, msg)
-            if msg.certificate and not prev.certificate:
+        log = None
+        if prev is None:
+            log = self.retired.get(msg.instance)
+            if log is None:
                 self.slots[key] = msg
-                prev._held &= ~self.mark
                 msg._held |= self.mark
-                lst = self.by_instance[msg.instance]
-                lst[lst.index(prev)] = msg
-                return "upgraded", None
-            return "dup", None
-        self.slots[key] = msg
-        msg._held |= self.mark
-        self.by_instance.setdefault(msg.instance, []).append(msg)
-        return "new", None
+                self.by_instance.setdefault(msg.instance, []).append(msg)
+                return "new", None
+            prev = next((m for m in log if m.slot() == key), None)
+            if prev is None:
+                msg._held |= self.mark
+                log.append(msg)
+                return "new", None
+        if prev.payload != msg.payload:
+            return "conflict", derive_pof(registry, prev, msg)
+        if msg.certificate and not prev.certificate:
+            if log is None:
+                self.slots[key] = msg
+                log = self.by_instance[msg.instance]
+            prev._held &= ~self.mark
+            msg._held |= self.mark
+            log[log.index(prev)] = msg
+            return "upgraded", None
+        return "dup", None
+
+    def retire(self, iid: InstanceId) -> None:
+        """Move an instance's messages out of the live index into its log."""
+        log = self.by_instance.pop(iid, [])
+        for m in log:
+            del self.slots[m.slot()]
+        self.retired[iid] = log
 
     def instance_msgs(
         self,
@@ -194,7 +221,7 @@ class NodeCore:
         self.store = MessageStore(adapter.net.store_mark())
         self.metrics = CoreMetrics()
         self.contexts: dict[tuple, "MultiContext"] = {}
-        # every instance id a context owns -> (context, instance); the
+        # every instance id a live context owns -> (context, instance); the
         # confirmation echo's id maps to (context, None)
         self.routes: dict[InstanceId, tuple["MultiContext", object]] = {}
         self._seen_bundles: set[bytes] = set()
@@ -265,13 +292,25 @@ class NodeCore:
         once), so no routed id is ever taken over by a later context.
         """
         self.contexts[ctx.key] = ctx
-        routed = [(i.iid, i) for i in (*ctx.slots.values(), *ctx.bins.values())]
-        routed.append((ctx.confirm_iid, None))
+        routed = ctx.routed()
         for iid, inst in routed:
             self.routes[iid] = (ctx, inst)
         for iid, _ in routed:
             for m in self.store.instance_msgs(iid):
                 self._dispatch(m)
+
+    def retire_inert(self) -> None:
+        """Forget every context that no input can change any more (see
+        MultiContext.inert) and retire its instance ids in the store.  A
+        message for a retired id is still stored, so it can convict its
+        signer, but nothing tallies or dispatches it: that is all the
+        context would have done with it."""
+        for key, ctx in list(self.contexts.items()):
+            if ctx.inert():
+                del self.contexts[key]
+                for iid, _ in ctx.routed():
+                    del self.routes[iid]
+                    self.store.retire(iid)
 
     def deliver_frame(self, src: int, msg: SignedMessage) -> None:
         self.metrics.frames += 1
@@ -502,6 +541,29 @@ class MultiContext:
 
     def stop(self) -> None:
         self.stopped = True
+
+    def routed(self) -> list[tuple[InstanceId, object]]:
+        """(instance id, instance) for every id this context owns; the
+        confirmation echo's id has no instance."""
+        routed = [(i.iid, i) for i in (*self.slots.values(), *self.bins.values())]
+        routed.append((self.confirm_iid, None))
+        return routed
+
+    def inert(self) -> bool:
+        """Whether no input can change what this context does: it is
+        stopped, or it decided and no part of it can still act.  A delivered
+        slot that never echoed still echoes a late INIT, and a pending
+        confirmation still counts echoes."""
+        if self.stopped:
+            return True
+        if self.decision is None:
+            return False
+        if self.core.cfg.alpha is not None and self.confirmation == "pending":
+            return False
+        return all(
+            s.cancelled or (s.delivered is not None and s.echoed)
+            for s in self.slots.values()
+        )
 
     # -------------------------------------------------------------- progress
 

@@ -73,8 +73,8 @@ class SignedMessage:
     _core: Optional[bytes] = field(default=None, repr=False, compare=False)
     _sigok: Optional[bool] = field(default=None, repr=False, compare=False)
     _slot: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # bit i set while the store with mark 1 << i holds this very object in a
-    # slot (see consensus.MessageStore)
+    # bit i set while the store with mark 1 << i holds this very object, in
+    # its live index or a retired log (see consensus.MessageStore)
     _held: int = field(default=0, repr=False, compare=False)
 
     def core_encoding(self) -> bytes:

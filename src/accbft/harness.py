@@ -33,6 +33,7 @@ from .analysis import (
 )
 from .committee import FaultProfile, _check_h, consensus_tolerated, threshold_tolerated
 from .scenarios import (
+    MAX_SEEDS,
     Scenario,
     ScenarioError,
     agreement_scenario,
@@ -106,11 +107,6 @@ CSV_COLUMNS = (
     "confirmed",
     "failures",
 )
-
-
-# Most seeds one `run --seeds` list or `suite --seeds` count may name; far
-# above the 200 of the largest suite, and checked before anything is expanded.
-MAX_SEEDS = 100_000
 
 
 def parse_seeds(text: str) -> list[int]:

@@ -177,6 +177,7 @@ class AsmrProcess:
         return com
 
     def _start_main(self) -> None:
+        self.core.retire_inert()
         self.phase = "main"
         com = self._main_committee()
         self.core.committee = com

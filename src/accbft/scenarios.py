@@ -147,11 +147,12 @@ class Field(NamedTuple):
     object.  Numbers and ratios (a ratio may be a string such as "4/9") lie in
     [lo, hi], or (lo, hi] with ``open_lo``.  A str fully matches ``pattern``,
     an enum is one of ``choices`` (or an integer in [lo, hi] if ``hi`` is
-    set), a list has at least ``lo`` items matching ``item`` (or is a row that
-    matches a tuple ``item``), an object takes only its ``keys`` and those of
-    its model in ``models``.  ``default`` fills a missing key, or a top-level
-    object that is absent or empty.  ``msg`` replaces the diagnostic, for an
-    object also its keys' ones; ``note`` tells the README what absent means.
+    set), a list has ``lo`` to ``hi`` items matching ``item`` (or is a row
+    that matches a tuple ``item``), an object takes only its ``keys`` and
+    those of its model in ``models``.  ``default`` fills a missing key, or a
+    top-level object that is absent or empty.  ``msg`` replaces the
+    diagnostic, for an object also its keys' ones; ``note`` tells the README
+    what absent means.
     """
 
     kind: str
@@ -186,8 +187,14 @@ class Field(NamedTuple):
         if kind == "list" and not isinstance(item, Field):  # a fixed-length row
             return len(v) == len(item) and all(map(Field.fits, item, v))
         if kind == "list":
-            return len(v) >= (lo or 0) and all(map(item.fits, v))
+            if len(v) < (lo or 0) or (hi is not None and len(v) > hi):
+                return False
+            return all(map(item.fits, v))
         if kind == "ratio" and not isinstance(v, bool):
+            if isinstance(v, str) and not (
+                set(v) <= _RATIO_CHARS and v.count(".") <= 1 and v.count("/") <= 1
+            ):
+                return False
             try:
                 v = as_fraction(v)
             except (ValueError, ZeroDivisionError, TypeError):
@@ -207,6 +214,11 @@ _RULES = {
     "object": "must be an object",
 }
 
+# Most seeds a scenario file's `seeds` list, a `run --seeds` list or a
+# `suite --seeds` count may name; far above the 200 of the largest suite, and
+# checked before anything is expanded.
+MAX_SEEDS = 100_000
+
 # Every number is bounded.  Process ids and heights travel as 32-bit fields,
 # and larger counts make building the world, the genesis block or a proposal
 # loop for hours.  The deposit factor is the pool target in gain caps: a huge
@@ -215,7 +227,10 @@ _RULES = {
 # conversion to ticks or the gamma sampler, an infinite shape never returns a
 # sample, and a gamma scale under one tick truncates to 0, which the sampler
 # rejects.  The name is the stem of the files a run writes, so it holds no path.
+# A ratio string is digits with at most one "." and one "/": Fraction would
+# also read an exponent, and "1e1000000000" makes it build 10**1000000000.
 _MAX_PROCESSES = 1000  # n, t, d, q, the standby pool
+_RATIO_CHARS = frozenset("0123456789./")
 _MAX_DEPOSIT_FACTOR = 10**3  # in gain caps
 _MAX_MS = 10**9
 _MS, _COINS = " (milliseconds)", " (coin units)"
@@ -258,7 +273,8 @@ SCHEMA = {
     "mode": Field("enum", choices=("superblock",), msg="must be 'superblock'"),
     "heights": Field("int", 1, 10**6),
     "alpha": Field("ratio", 0, Fraction(2, 3), note="no confirmation round"),
-    "seeds": Field("list", 1, item=Field("int"), msg="must be a non-empty list of integers"),
+    "seeds": Field("list", 1, MAX_SEEDS, item=Field("int"),
+                   msg="must be a non-empty list of integers, at most %d of them" % MAX_SEEDS),
     "delay": Field("object", keys=_DELAY_KEYS, models=_DELAY_MODELS),
     "cross_delay": Field("object", keys=_DELAY_KEYS, models=_DELAY_MODELS, note="`delay`"),
     "partitions": Field("list", item=Field("list", item=Field("int")),
@@ -460,7 +476,7 @@ class AdversaryBrain:
     to the sender's camp's shadows; shadow frames reach only their camp plus
     (instantly) their camp siblings.  Fraud evidence delivered to the
     coalition is discarded — the adversary never helps accountability — and
-    everything stops at ``retire_at``.
+    everything stops, and is freed, at ``retire_at``.
     """
 
     def __init__(self, world: "World", camps: tuple):
@@ -520,8 +536,20 @@ class AdversaryBrain:
 
     # -- network host interface ---------------------------------------------
 
+    def _silent(self) -> bool:
+        """Whether the coalition has retired.  The first network event at or
+        after ``retire_at`` drops the shadows and everything queued or seen
+        for them, since nothing reaches them from then on."""
+        if self.net.now < self.retire_at:
+            return False
+        if self.shadows:
+            self.shadows.clear()
+            self._seen.clear()
+            self._queue.clear()
+        return True
+
     def deliver_frame(self, src: int, msg) -> None:
-        if self.net.now >= self.retire_at:
+        if self._silent():
             return
         key = (src, msg.signature)  # one logical frame, many deceitful addressees
         if key in self._seen:
@@ -535,7 +563,7 @@ class AdversaryBrain:
         self._drain()
 
     def on_timer(self, key) -> None:
-        if self.net.now >= self.retire_at:
+        if self._silent():
             return
         (_, ci, pid), inner = key
         self.shadows[(ci, pid)].core.on_timer(inner)
@@ -544,6 +572,8 @@ class AdversaryBrain:
     # -- coalition plumbing ---------------------------------------------------
 
     def sibling_fanout(self, camp: int, dsts, msg) -> None:
+        # reached only from a shadow's own send, inside start or a drain, so
+        # it checks the time without dropping the shadows under its caller
         if self.net.now >= self.retire_at:
             return
         for dst in dsts:

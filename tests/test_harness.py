@@ -345,6 +345,12 @@ def test_run_rejects_broken_scenarios(capsys, tmp_path):
             {"payload": "ledger", "deposit": {"factor": True}},
             "deposit.factor: must be a non-negative ratio, at most 1000",
         ),
+        # Fraction would build 10**1000000000 for this 12-byte value
+        ({"alpha": "1e1000000000"}, "alpha: must be a non-negative ratio, at most 2/3"),
+        (
+            {"seeds": list(range(1, harness.MAX_SEEDS + 2))},
+            "seeds: must be a non-empty list of integers, at most %d" % harness.MAX_SEEDS,
+        ),
     ],
 )
 def test_run_rejects_hostile_scenario_fields(capsys, tmp_path, fields, diagnostic):

@@ -1,0 +1,169 @@
+"""Retiring finished agreement instances.
+
+At the start of each main height a core drops every context that no input can
+change any more, and its store moves those instances' messages out of the
+live index into per-instance logs.  The records must be those of a run that
+keeps everything; the logs must still convict an equivocator; and the live
+state must stay flat however long the chain grows.
+"""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from accbft.binary import BinaryInstance
+from accbft.consensus import NodeCore
+from accbft.crypto import CHAN_BCAST, CHAN_BINARY, GROUP_MAIN, Kind, derive_pof, make_message
+from accbft.scenarios import (
+    World,
+    canonical_record,
+    clean_scenario,
+    llb_scenario,
+    load_scenario,
+    run_scenario,
+)
+from conftest import mini_world, start_contexts
+
+STOCK = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize(
+    "name", ["agreement-n7", "clean-n10", "fork-binary-ledger-n9", "spam-n4", "llb-h8"]
+)
+def test_retiring_inert_contexts_keeps_the_records(name, monkeypatch):
+    if name == "clean-n10":
+        scn = clean_scenario(10)
+    elif name == "llb-h8":
+        scn = llb_scenario(heights=8)
+    else:
+        scn = load_scenario(STOCK / (name + ".json"))
+    seeds = (1, 2, 3)
+    retiring = [canonical_record(run_scenario(scn, s).record) for s in seeds]
+    monkeypatch.setattr(NodeCore, "retire_inert", lambda self: None)
+    assert [canonical_record(run_scenario(scn, s).record) for s in seeds] == retiring
+
+
+def _retired_core():
+    """Core 1 of a clean 4-process agreement, its one context retired."""
+    net, reg, cores = mini_world(4)
+    ctxs = start_contexts(cores, {p: b"v%d" % p for p in cores})
+    assert net.run() == "quiescent"
+    core = cores[1]
+    assert ctxs[1].inert()
+    core.retire_inert()
+    assert core.contexts == {} and core.routes == {} and core.store.slots == {}
+    return reg, core, ctxs[1]
+
+
+def test_a_delivered_slot_that_never_echoed_keeps_its_context():
+    # pid 1 delivers pid 2's value from a READY certificate, never seeing
+    # the INIT; when the INIT comes, it must still echo
+    net, reg, cores = mini_world(4)
+    held = []
+
+    def hold_first_init(msg):
+        if msg.kind == Kind.INIT and not held:
+            held.append(msg)
+            return None
+        return msg
+
+    net.send_filters[2] = hold_first_init
+    ctx = start_contexts(cores, {p: b"v%d" % p for p in cores})[1]
+    assert net.run() == "quiescent"
+    core, slot = cores[1], ctx.slots[2]
+    assert ctx.decision is not None and slot.delivered and not slot.echoed
+    core.retire_inert()
+    assert core.contexts == {ctx.key: ctx}
+    core.deliver_frame(2, held[0])
+    echo = core.store.first(Kind.ECHO, slot.iid, 1, 1, 1)
+    assert echo is not None and echo.payload == held[0].payload
+    core.retire_inert()
+    assert core.contexts == {}
+
+
+def test_a_pending_confirmation_keeps_its_context():
+    net, _, cores = mini_world(4, seed=9, alpha=Fraction(1, 2))
+    ctx = start_contexts(cores, {p: b"v%d" % p for p in cores})[1]
+    while ctx.decision is None:
+        net.run(1)
+    assert ctx.confirmation == "pending" and not ctx.inert()
+    assert net.run() == "quiescent"
+    assert ctx.confirmation == "confirmed" and ctx.inert()
+
+
+def test_a_late_equivocation_on_a_retired_slot_is_convicted():
+    reg, core, _ = _retired_core()
+    iid = (0, 0, GROUP_MAIN, CHAN_BCAST, 3)
+    first = next(m for m in core.store.retired[iid] if m.kind == Kind.ECHO and m.signer == 2)
+    second = make_message(reg, 2, Kind.ECHO, iid, 1, 1, b"not " + first.payload)
+    status, pof = core.store.admit(reg, second)
+    assert status == "conflict"
+    assert pof.encoding() == derive_pof(reg, first, second).encoding()
+    core.deliver_frame(2, second)
+    assert core.metrics.pofs_recorded == 1
+    assert not core.committee.is_active(2)
+
+
+def test_a_certified_duplicate_upgrades_the_retired_copy():
+    reg, core, _ = _retired_core()
+    iid = (0, 0, GROUP_MAIN, CHAN_BCAST, 3)
+    log = core.store.retired[iid]
+    i, bare = next(
+        (i, m) for i, m in enumerate(log) if m.kind == Kind.ECHO and not m.certificate
+    )
+    inner = make_message(reg, 4, Kind.ECHO, iid, 1, 1, bare.payload)
+    carrying = make_message(
+        reg, bare.signer, bare.kind, iid, bare.round, bare.phase, bare.payload, (inner,)
+    )
+    assert core.store.admit(reg, carrying) == ("upgraded", None)
+    assert log[i] is carrying and len(log) == len(set(map(id, log)))
+    mark = core.store.mark
+    assert carrying._held & mark and not bare._held & mark
+    assert core.store.admit(reg, bare) == ("dup", None)
+    assert core.store.slots == {}
+
+
+def test_a_new_message_for_a_retired_instance_is_stored_but_not_acted_on(monkeypatch):
+    reg, core, ctx = _retired_core()
+    iid = (0, 0, GROUP_MAIN, CHAN_BINARY, 2)
+    calls = []
+    for attr in ("tally", "on_message", "pump"):
+        monkeypatch.setattr(BinaryInstance, attr, lambda self, *a, _n=attr: calls.append(_n))
+    late = make_message(reg, 3, Kind.BVECHO, iid, 5, 1, b"\x00")
+    admitted = core.metrics.admitted
+    core.deliver_frame(3, late)
+    assert core.store.retired[iid][-1] is late and late._held & core.store.mark
+    assert core.metrics.admitted == admitted + 1
+    assert core.store.slots == {} and calls == []
+    assert core.store.admit(reg, late) == ("dup", None)
+    assert ctx.bins[2].round == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_live_state_stays_flat_as_the_chain_grows(seed):
+    def live(heights):
+        world = run_scenario(llb_scenario(heights=heights), seed).world
+        cores = [proc.core for proc in world.procs.values()]
+        return (
+            max(len(core.store.slots) for core in cores),
+            max(len(core.contexts) for core in cores),
+        )
+
+    slots10, contexts10 = live(10)
+    slots30, contexts30 = live(30)
+    # one context's messages may differ between the two runs' last heights
+    assert contexts30 <= contexts10 <= 2
+    assert slots30 <= slots10 * 1.25
+
+
+def test_the_coalition_is_freed_at_retirement():
+    world = World(llb_scenario(heights=8), 1)
+    brain = world.brain
+    world.start()
+    assert world.net.run(100) == "budget"
+    assert world.net.now < brain.retire_at
+    assert brain.shadows and brain._seen
+    assert world.net.run() == "quiescent"
+    assert world.net.now >= brain.retire_at
+    assert brain.shadows == {} and not brain._seen and not brain._queue
