@@ -82,6 +82,12 @@ class MessageStore:
     late equivocation yields the same proof of fraud as before.  A new
     message for a retired instance joins its log, never ``slots``.
 
+    A live slot's key is the tuple ``SignedMessage.slot()`` caches on the
+    message, so the stores of one network share one key per slot.
+    ``retire`` clears that cache, and the log scan compares the slot's
+    fields instead of building a key, so a retired message keeps no key
+    once every store has retired its instance.
+
     ``mark`` is this store's bit in ``SignedMessage._held``: it is set on the
     very object the live index or a retired log holds for a slot, and moved
     to the new copy on an upgrade, so ``m._held & store.mark`` tells whether
@@ -121,18 +127,28 @@ class MessageStore:
 
     def admit(self, registry, msg: SignedMessage) -> tuple[str, Optional[Pof]]:
         """Returns (status, pof) with status in new|dup|upgraded|conflict."""
-        key = msg.slot()
-        prev = self.slots.get(key)
-        log = None
-        if prev is None:
-            log = self.retired.get(msg.instance)
-            if log is None:
+        log = self.retired.get(msg.instance)
+        if log is None:
+            key = msg.slot()
+            prev = self.slots.get(key)
+            if prev is None:
                 self.slots[key] = msg
                 msg._held |= self.mark
                 self.by_instance.setdefault(msg.instance, []).append(msg)
                 return "new", None
-            prev = next((m for m in log if m.slot() == key), None)
-            if prev is None:
+        else:
+            # a retired instance: its slots are compared field by field, so
+            # no slot key is built for it again
+            kind, round, phase, signer = msg.kind, msg.round, msg.phase, msg.signer
+            for prev in log:
+                if (
+                    prev.signer == signer
+                    and prev.round == round
+                    and prev.phase == phase
+                    and prev.kind == kind
+                ):
+                    break
+            else:
                 msg._held |= self.mark
                 log.append(msg)
                 return "new", None
@@ -149,10 +165,15 @@ class MessageStore:
         return "dup", None
 
     def retire(self, iid: InstanceId) -> None:
-        """Move an instance's messages out of the live index into its log."""
+        """Move an instance's messages out of the live index into its log,
+        and clear their cached slot keys: a key then lives only in the
+        stores where the instance is still live, and each of those builds
+        it once more to delete it."""
+        slots = self.slots
         log = self.by_instance.pop(iid, [])
         for m in log:
-            del self.slots[m.slot()]
+            del slots[(m.kind, iid, m.round, m.phase, m.signer)]
+            m._slot = None
         self.retired[iid] = log
 
     def instance_msgs(

@@ -56,8 +56,23 @@ def _enc_u32(x: int) -> bytes:
     return struct.pack(">I", x)
 
 
+# the fixed-width head of a core encoding (see SignedMessage.core_encoding)
+_CORE_HEAD = struct.Struct(">B8I")
+
+
 @dataclass(eq=False, slots=True)
 class SignedMessage:
+    """One signed protocol message and its attachments.
+
+    A store may keep a message for the rest of the run, as one half of a
+    later proof of fraud, so it holds no bytes derived from its fields:
+    ``core_encoding()`` is built on each call.  Three per-object fields
+    are not part of the message: ``_sigok`` memoises the signature check,
+    ``_slot`` caches the slot key while some store indexes the message
+    live (see consensus.MessageStore), and ``_held`` marks the stores that
+    hold this very object.
+    """
+
     kind: int
     instance: InstanceId
     round: int
@@ -70,7 +85,6 @@ class SignedMessage:
     # Fraud proofs riding on a POF_LIST envelope.
     pofs: tuple["Pof", ...] = ()
 
-    _core: Optional[bytes] = field(default=None, repr=False, compare=False)
     _sigok: Optional[bool] = field(default=None, repr=False, compare=False)
     _slot: Optional[tuple] = field(default=None, repr=False, compare=False)
     # bit i set while the store with mark 1 << i holds this very object, in
@@ -78,18 +92,13 @@ class SignedMessage:
     _held: int = field(default=0, repr=False, compare=False)
 
     def core_encoding(self) -> bytes:
-        """Deterministic byte encoding of the signed fields."""
-        enc = self._core
-        if enc is None:
-            parts = [struct.pack(">B", self.kind)]
-            parts += [_enc_u32(x) for x in self.instance]
-            parts.append(struct.pack(">II", self.round, self.phase))
-            parts.append(_enc_u32(len(self.payload)))
-            parts.append(self.payload)
-            parts.append(_enc_u32(self.signer))
-            enc = b"".join(parts)
-            self._core = enc
-        return enc
+        """Deterministic byte encoding of the signed fields, built on each
+        call: kind, the five instance fields, round, phase and the payload
+        length, then the payload and the signer."""
+        head = _CORE_HEAD.pack(
+            self.kind, *self.instance, self.round, self.phase, len(self.payload)
+        )
+        return b"".join((head, self.payload, _enc_u32(self.signer)))
 
     def full_encoding(self) -> bytes:
         """Core, signature, and one level of attached-certificate cores.
@@ -128,7 +137,6 @@ class SignedMessage:
             payload=self.payload,
             signer=self.signer,
             signature=self.signature,
-            _core=self._core,
             _sigok=self._sigok,
         )
 
@@ -295,20 +303,18 @@ def verify_pof(registry: KeyRegistry, pof: Pof) -> bool:
 
 def _decode_core_sig(blob: bytes) -> SignedMessage:
     """Inverse of core_encoding()+signature (certificates don't travel here)."""
-    if len(blob) < 1 + 20 + 8 + 4:
+    head = _CORE_HEAD.size
+    if len(blob) < head:
         raise ValueError("truncated message")
-    kind = blob[0]
-    inst = struct.unpack(">IIIII", blob[1:21])
-    round_, phase = struct.unpack(">II", blob[21:29])
-    (plen,) = struct.unpack(">I", blob[29:33])
-    if len(blob) < 33 + plen + 4:
+    kind, *inst, round_, phase, plen = _CORE_HEAD.unpack_from(blob)
+    if len(blob) < head + plen + 4:
         raise ValueError("truncated message")
-    payload = blob[33 : 33 + plen]
-    (signer,) = struct.unpack(">I", blob[33 + plen : 37 + plen])
-    sig = blob[37 + plen :]
+    payload = blob[head : head + plen]
+    (signer,) = struct.unpack(">I", blob[head + plen : head + plen + 4])
+    sig = blob[head + plen + 4 :]
     return SignedMessage(
         kind=kind,
-        instance=inst,
+        instance=tuple(inst),
         round=round_,
         phase=phase,
         payload=payload,

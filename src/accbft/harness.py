@@ -43,6 +43,7 @@ from .scenarios import (
     fork_scenario,
     llb_scenario,
     load_scenario,
+    plain_ratio,
     run_scenario,
     spam_scenario,
     tolerated_profiles,
@@ -683,7 +684,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             _print_table(frontier_rows(args.n, h))
         elif args.table == "reference":
             _print_table(blockdepth_reference_rows())
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EX_SCENARIO
     return EX_OK
@@ -704,7 +705,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fraction(text: str) -> Fraction:
-    return as_fraction(text)
+    """A ratio option: the scenario files' rule with an optional leading "-",
+    which the analysis functions reject with their own diagnostics."""
+    if not plain_ratio(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(
+            "%r is not a ratio: digits with at most one '.' and one '/'" % text
+        )
+    try:
+        return as_fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError("%r divides by zero" % text) from None
 
 
 def _seed_count(text: str) -> int:

@@ -191,9 +191,7 @@ class Field(NamedTuple):
                 return False
             return all(map(item.fits, v))
         if kind == "ratio" and not isinstance(v, bool):
-            if isinstance(v, str) and not (
-                set(v) <= _RATIO_CHARS and v.count(".") <= 1 and v.count("/") <= 1
-            ):
+            if isinstance(v, str) and not plain_ratio(v):
                 return False
             try:
                 v = as_fraction(v)
@@ -219,6 +217,16 @@ _RULES = {
 # checked before anything is expanded.
 MAX_SEEDS = 100_000
 
+# A ratio string is digits with at most one "." and one "/": Fraction would
+# also read an exponent, and "1e1000000000" makes it build 10**1000000000.
+_RATIO_CHARS = frozenset("0123456789./")
+
+
+def plain_ratio(text: str) -> bool:
+    """Whether a ratio string is digits with at most one "." and one "/"."""
+    return set(text) <= _RATIO_CHARS and text.count(".") <= 1 and text.count("/") <= 1
+
+
 # Every number is bounded.  Process ids and heights travel as 32-bit fields,
 # and larger counts make building the world, the genesis block or a proposal
 # loop for hours.  The deposit factor is the pool target in gain caps: a huge
@@ -227,10 +235,7 @@ MAX_SEEDS = 100_000
 # conversion to ticks or the gamma sampler, an infinite shape never returns a
 # sample, and a gamma scale under one tick truncates to 0, which the sampler
 # rejects.  The name is the stem of the files a run writes, so it holds no path.
-# A ratio string is digits with at most one "." and one "/": Fraction would
-# also read an exponent, and "1e1000000000" makes it build 10**1000000000.
 _MAX_PROCESSES = 1000  # n, t, d, q, the standby pool
-_RATIO_CHARS = frozenset("0123456789./")
 _MAX_DEPOSIT_FACTOR = 10**3  # in gain caps
 _MAX_MS = 10**9
 _MS, _COINS = " (milliseconds)", " (coin units)"

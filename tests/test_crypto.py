@@ -86,6 +86,14 @@ def test_core_encoding_is_deterministic(registry):
     assert c.core_encoding() != a.core_encoding()
 
 
+def test_core_encoding_layout(registry):
+    # kind byte; instance, round, phase and payload length as big-endian
+    # u32; the payload; the signer as a u32
+    m = make_message(registry, 3, Kind.EST, (1, 2, 3, 4, 5), 6, 7, b"xy")
+    u32s = b"".join(x.to_bytes(4, "big") for x in (1, 2, 3, 4, 5, 6, 7, 2))
+    assert m.core_encoding() == bytes([Kind.EST]) + u32s + b"xy" + (3).to_bytes(4, "big")
+
+
 def test_slot_covers_signer_not_payload(registry):
     a = make_message(registry, 3, Kind.EST, INST, 2, 1, b"x")
     b = make_message(registry, 3, Kind.EST, INST, 2, 1, b"y")

@@ -157,6 +157,12 @@ def test_analyze_rejects_bad_requests(capsys):
         (("branches", "--n", "9", "--h", "12"), EX_SCENARIO, "threshold out of"),
         (("confirm", "--n", "9", "--h", "3"), EX_SCENARIO, "threshold out of"),
         (("blockdepth", "--curve", "5..2"), EX_USAGE, "range 5..2 is reversed"),
+        # a ratio option takes no exponent: Fraction would build 10**4000000
+        (("flux", "--a", "3", "--w", "28", "--b", "1e400"), EX_USAGE, "is not a ratio"),
+        (("flux", "--a", "3", "--w", "28", "--b", "1e4000000"), EX_USAGE, "is not a ratio"),
+        # a plain 401-digit deposit factor is a ratio, but its flux is no float
+        (("flux", "--a", "3", "--w", "28", "--b", "1" + "0" * 400), EX_SCENARIO, "error:"),
+        (("flux", "--a", "3", "--b", "1/0"), EX_USAGE, "divides by zero"),
     ],
 )
 def test_analyze_rejects_out_of_domain_input(capsys, argv, code, diagnostic):

@@ -3,8 +3,9 @@
 At the start of each main height a core drops every context that no input can
 change any more, and its store moves those instances' messages out of the
 live index into per-instance logs.  The records must be those of a run that
-keeps everything; the logs must still convict an equivocator; and the live
-state must stay flat however long the chain grows.
+keeps everything; the logs must still convict an equivocator; the live state
+must stay flat however long the chain grows; and a retired message must keep
+no slot key once no store indexes it live.
 """
 
 from fractions import Fraction
@@ -13,10 +14,11 @@ from pathlib import Path
 import pytest
 
 from accbft.binary import BinaryInstance
-from accbft.consensus import NodeCore
+from accbft.consensus import MessageStore, NodeCore
 from accbft.crypto import CHAN_BCAST, CHAN_BINARY, GROUP_MAIN, Kind, derive_pof, make_message
 from accbft.scenarios import (
     World,
+    assign_roles,
     canonical_record,
     clean_scenario,
     llb_scenario,
@@ -54,6 +56,11 @@ def _retired_core():
     core.retire_inert()
     assert core.contexts == {} and core.routes == {} and core.store.slots == {}
     return reg, core, ctxs[1]
+
+
+def _keyless(store):
+    """Whether no message in the store's retired logs caches a slot key."""
+    return all(m._slot is None for log in store.retired.values() for m in log)
 
 
 def test_a_delivered_slot_that_never_echoed_keeps_its_context():
@@ -100,6 +107,11 @@ def test_a_late_equivocation_on_a_retired_slot_is_convicted():
     status, pof = core.store.admit(reg, second)
     assert status == "conflict"
     assert pof.encoding() == derive_pof(reg, first, second).encoding()
+    assert _keyless(core.store) and second._slot is None
+    # the proof a live store derives for the same pair, from keyed slots
+    live = MessageStore(mark=1 << 20)
+    assert live.admit(reg, first) == ("new", None)
+    assert live.admit(reg, second)[1].encoding() == pof.encoding()
     core.deliver_frame(2, second)
     assert core.metrics.pofs_recorded == 1
     assert not core.committee.is_active(2)
@@ -122,6 +134,7 @@ def test_a_certified_duplicate_upgrades_the_retired_copy():
     assert carrying._held & mark and not bare._held & mark
     assert core.store.admit(reg, bare) == ("dup", None)
     assert core.store.slots == {}
+    assert _keyless(core.store) and bare._slot is None
 
 
 def test_a_new_message_for_a_retired_instance_is_stored_but_not_acted_on(monkeypatch):
@@ -138,6 +151,7 @@ def test_a_new_message_for_a_retired_instance_is_stored_but_not_acted_on(monkeyp
     assert core.store.slots == {} and calls == []
     assert core.store.admit(reg, late) == ("dup", None)
     assert ctx.bins[2].round == 1
+    assert _keyless(core.store)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -155,6 +169,37 @@ def test_live_state_stays_flat_as_the_chain_grows(seed):
     # one context's messages may differ between the two runs' last heights
     assert contexts30 <= contexts10 <= 2
     assert slots30 <= slots10 * 1.25
+
+
+def test_messages_held_only_by_retired_logs_keep_no_slot_key():
+    world = run_scenario(llb_scenario(heights=10), 1).world
+    stores = [proc.core.store for proc in world.procs.values()]
+    live = {id(m) for store in stores for m in store.slots.values()}
+    retired = [m for store in stores for log in store.retired.values() for m in log]
+    assert len(retired) > 10 * len(live)
+    assert all(m._slot is None for m in retired if id(m) not in live)
+
+
+def _accused_runs():
+    yield llb_scenario(heights=8)
+    for path in sorted(STOCK.glob("*.json")):
+        if path.stem not in ("complexity-n20", "llb-n9"):
+            yield load_scenario(path)
+
+
+def test_no_honest_process_is_ever_accused():
+    accusing = set()
+    for scn in _accused_runs():
+        roles = assign_roles(scn)
+        for seed in (1, 2, 3):
+            record = run_scenario(scn, seed).record
+            accused = {pid for pids in record["accused"].values() for pid in pids}
+            # only the deceitful equivocate: no honest, standby, benign or garbling pid
+            assert accused <= set(roles.deceitful), (scn.name, seed, accused)
+            if accused:
+                accusing.add(scn.name)
+    # the forks, the spammer and the llb coalition are all caught
+    assert len(accusing) >= 5, accusing
 
 
 def test_the_coalition_is_freed_at_retirement():

@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -316,6 +319,29 @@ def test_golden_records_are_unchanged(clean_record):
         )
     }
     assert got == GOLDEN_RECORDS
+
+
+# Prints the canonical_record sha256 of one stock scenario file and seed.
+_RECORD_SHA256 = """
+import hashlib, sys
+from accbft.scenarios import canonical_record, load_scenario, run_scenario
+record = run_scenario(load_scenario(sys.argv[1]), int(sys.argv[2])).record
+print(hashlib.sha256(canonical_record(record).encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize(("name", "seed"), [("fork-binary-ledger-n9", 2), ("spam-n4", 3)])
+def test_records_do_not_depend_on_the_hash_seed(name, seed):
+    path = _ROOT / "scenarios" / (name + ".json")
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(_ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", _RECORD_SHA256, str(path), str(seed)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1 and len(digests.pop()) == 64
 
 
 # sha256 of the send trace (one JSON line per frame, as `accbft run --trace`
