@@ -1,19 +1,21 @@
 """Per-process runtime: verified message store, fraud-proof accounting, and
 the multi-valued context that ties n broadcast slots to n binary votes.
 
-A NodeCore is the single owning actor for one simulated process.  The network
-hands it frames and timer callbacks; it verifies signatures, admits messages
-into a shared store (where duplicate-slot payload conflicts become fraud
-proofs), and routes them into per-instance state machines.  Routing is one
-table, ``NodeCore.routes``, from instance id to (context, instance): every
-message belongs to exactly one broadcast slot, binary vote or confirmation
-echo, and context keys are unique per core, so the tally, the dispatch, the
-timers and the instance callbacks each take one lookup.  At each new main
-height the core forgets the contexts no input can change any more; the store
-keeps their messages, so they can still convict a signer.  Set-exchange
-bundles, certificate cross-checks, and exclusion recounts all read from that
-one store, which is what makes accountability automatic: any certificate that
-crosses a partition is taken apart and checked against what we stored locally.
+A NodeCore is the single owning actor for one simulated process, and it talks
+to the network itself: the network hands it frames and timer callbacks, and
+the core sends its frames and arms its timers there under its own pid.  It
+verifies signatures, admits messages into a shared store (where
+duplicate-slot payload conflicts become fraud proofs), and routes them into
+per-instance state machines.  Routing is one table, ``NodeCore.routes``, from
+instance id to (context, instance): every message belongs to exactly one
+broadcast slot, binary vote or confirmation echo, and context keys are unique
+per core, so the tally, the dispatch, the timers and the instance callbacks
+each take one lookup.  At each new main height the core forgets the contexts
+no input can change any more; the store keeps their messages, so they can
+still convict a signer.  Set-exchange bundles, certificate cross-checks, and
+exclusion recounts all read from that one store, which is what makes
+accountability automatic: any certificate that crosses a partition is taken
+apart and checked against what we stored locally.
 """
 
 from __future__ import annotations
@@ -195,36 +197,12 @@ class MessageStore:
         return out
 
 
-class NetAdapter:
-    """One process's handle on the shared virtual network.
-
-    `allowed` restricts outbound recipients (attack coalitions talk to their
-    own audience); `tag` prefixes timer keys so several cores multiplexed on
-    one network pid can tell their timers apart.
-    """
-
-    def __init__(self, net, pid: int, allowed=None, tag=None):
-        self.net = net
-        self.pid = pid
-        self.allowed = None if allowed is None else set(allowed)
-        self.tag = tag
-
-    def broadcast(self, dsts: Iterable[int], msg: SignedMessage) -> None:
-        if self.allowed is not None:
-            dsts = [d for d in dsts if d in self.allowed]
-        self.net.send(self.pid, dsts, msg)
-
-    def arm_timer(self, key: tuple, delay: int) -> None:
-        if self.tag is not None:
-            key = (self.tag, key)
-        self.net.arm_timer(self.pid, key, delay)
-
-    def now(self) -> int:
-        return self.net.now
-
-
 class NodeCore:
-    """Owns the store, the committee view, and all contexts of one process."""
+    """Owns the store, the committee view, and all contexts of one process.
+
+    The core is a host of ``net``: it sends every frame and arms every
+    timer there as ``pid``, and reads the virtual clock from it.
+    """
 
     def __init__(
         self,
@@ -232,14 +210,14 @@ class NodeCore:
         registry,
         committee: Committee,
         cfg: ProtoConfig,
-        adapter: NetAdapter,
+        net,
     ):
         self.pid = pid
         self.registry = registry
         self.committee = committee
         self.cfg = cfg
-        self.net = adapter
-        self.store = MessageStore(adapter.net.store_mark())
+        self.net = net
+        self.store = MessageStore(net.store_mark())
         self.metrics = CoreMetrics()
         self.contexts: dict[tuple, "MultiContext"] = {}
         # every instance id a live context owns -> (context, instance); the
@@ -274,11 +252,11 @@ class NodeCore:
         )
 
     def now(self) -> int:
-        return self.net.now()
+        return self.net.now
 
     def arm_retry(self, key: tuple, fires: int) -> None:
         """Arm an instance's retransmission timer, backed off per earlier fire."""
-        self.net.arm_timer(key, int(self.cfg.delta * (BACKOFF**fires)))
+        self.net.arm_timer(self.pid, key, int(self.cfg.delta * (BACKOFF**fires)))
 
     def share(
         self, iid: InstanceId, round: int, phase: int, held: list, committee: Committee
@@ -286,12 +264,18 @@ class NodeCore:
         """Send a MSGSET of the held messages (nothing if there are none)."""
         if held:
             env = self.sign(Kind.MSGSET, iid, round, phase, msgset_payload(held), held)
-            self.emit(env, committee, store_own=False)
+            self.emit(env, committee)
 
-    def emit(self, msg: SignedMessage, committee: Committee, store_own=True) -> None:
-        if store_own:
+    def emit(self, msg: SignedMessage, committee: Committee) -> None:
+        """Send a signed message to the committee's other members, storing
+        it first unless it is an envelope (envelopes are never stored)."""
+        if msg.kind not in _ENVELOPES:
             self._admit(msg)
-        self.net.broadcast([p for p in committee.members if p != self.pid], msg)
+        self._send(committee.members, msg)
+
+    def _send(self, dsts: list, msg: SignedMessage) -> None:
+        # the network skips the sender itself
+        self.net.send(self.pid, dsts, msg)
 
     def _admit(self, msg: SignedMessage) -> tuple[str, Optional[Pof]]:
         """Store a verified message; a new or upgraded one is counted at once
@@ -429,7 +413,7 @@ class NodeCore:
                 pofs_payload(stored),
                 pofs=tuple(stored),
             )
-            self.emit(env, self.committee, store_own=False)
+            self.emit(env, self.committee)
         if stored or newly:
             if self.on_new_pofs is not None:
                 self.on_new_pofs(stored, newly)
@@ -524,7 +508,6 @@ class MultiContext:
         period: int = 0,
         attempt: int = 0,
         group: int = GROUP_MAIN,
-        proposers: Optional[Iterable[int]] = None,
         validator: Optional[Callable[[int, bytes], bool]] = None,
     ):
         self.core = core
@@ -532,9 +515,7 @@ class MultiContext:
         self.key = (period, attempt, group)
         self.validator = validator
         self.stopped = False
-        self.proposers = tuple(
-            sorted(committee.members if proposers is None else proposers)
-        )
+        self.proposers = tuple(sorted(committee.members))
         self.slots: dict[int, BroadcastInstance] = {}
         self.bins: dict[int, BinaryInstance] = {}
         for src in self.proposers:
@@ -548,6 +529,8 @@ class MultiContext:
         self.zero_filled = False
         self.vector: Optional[tuple] = None
         self.decision: Optional[bytes] = None
+        # the lowest bit-1 vote's decision certificate, set with the decision
+        self.decision_cert: tuple = ()
         self.decided_at: Optional[int] = None
         self.confirm_sent = False
         self.confirmation = "pending"
@@ -629,11 +612,13 @@ class MultiContext:
         if any(src not in self.delivered for src in ones):
             return
         self.decision = encode_value_set(self.delivered[src] for src in ones)
+        if ones:
+            self.decision_cert = self.bins[ones[0]].decision_cert
         self.decided_at = self.core.now()
         if self.on_decided is not None:
             self.on_decided(self)
         if self.core.cfg.alpha is not None:
-            self._send_confirm(ones)
+            self._send_confirm()
         # slot values for bit-0 slots are never needed
         for src, b in self.vector:
             if b == 0:
@@ -641,18 +626,12 @@ class MultiContext:
 
     # ---------------------------------------------------------- confirmation
 
-    def _send_confirm(self, ones: list) -> None:
+    def _send_confirm(self) -> None:
         if self.confirm_sent:
             return
         self.confirm_sent = True
-        cert: tuple = ()
-        for src in ones:
-            c = self.bins[src].decision_cert
-            if c:
-                cert = tuple(c)
-                break
         msg = self.core.sign(
-            Kind.ECHO, self.confirm_iid, 1, 1, self.decision, cert
+            Kind.ECHO, self.confirm_iid, 1, 1, self.decision, self.decision_cert
         )
         self.core.emit(msg, self.committee)
         self._eval_confirm()

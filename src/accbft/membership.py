@@ -202,11 +202,6 @@ class AsmrProcess:
     def _on_main_decided(self, ctx: MultiContext) -> None:
         if ctx is not self.main_ctx or self.phase != "main":
             return
-        cert: tuple = ()
-        for src, b in ctx.vector or ():
-            if b == 1 and ctx.bins[src].decision_cert:
-                cert = tuple(ctx.bins[src].decision_cert)
-                break
         block = {
             "height": self.height,
             "attempt": ctx.key[1],
@@ -214,7 +209,7 @@ class AsmrProcess:
             "bits": dict(ctx.bits),
             "committee": tuple(ctx.committee.initial),
             "h": ctx.committee.h,
-            "cert": cert,
+            "cert": ctx.decision_cert,
             "confirm": (),
             "decided_at": ctx.decided_at,
         }

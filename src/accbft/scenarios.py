@@ -11,8 +11,11 @@ at once.  It runs one shadow protocol stack per (partition, deceitful id):
 each partition's audience sees a coherent, correctly-signed participant, the
 partitions see conflicting ones.  Shadows sign with the real keys, so the
 resulting fraud proofs come from ordinary message comparison rather than any
-simulator back door.  At its retirement time (the stabilisation point by
-default) the whole coalition goes silent.
+simulator back door.  A shadow is a ``NodeCore`` in all but three things,
+which its subclass ``_ShadowCore`` changes: it sends only to its partition
+(and its siblings there), its timers carry its shadow key, and it drops
+fraud evidence.  At its retirement time (the stabilisation point by default)
+the whole coalition goes silent.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .analysis import as_fraction
 from .committee import Committee, FaultProfile, default_h0, threshold_tolerated
-from .consensus import NetAdapter, NodeCore, ProtoConfig, decode_value_set
+from .consensus import NodeCore, ProtoConfig, decode_value_set
 from .crypto import CHAN_BINARY, KeyRegistry
 from .ledger import (
     Block,
@@ -459,27 +462,37 @@ def resolve_h_prime(value, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _ShadowAdapter(NetAdapter):
-    """Outbound path of one shadow: the network carries its frames to the
-    camp's audience, the coordinator hands them to camp siblings directly."""
+class _ShadowCore(NodeCore):
+    """One shadow of the coalition: a NodeCore on the deceitful pid that
+    sends only to its camp's audience over the network and to its camp
+    siblings through the brain, tags its timers with its key in
+    ``AdversaryBrain.shadows``, and drops fraud evidence."""
 
-    def __init__(self, net, pid, audience, brain, camp):
-        super().__init__(net, pid, allowed=audience, tag=("sh", camp, pid))
+    def __init__(self, pid, registry, committee, cfg, net, brain, camp):
+        super().__init__(pid, registry, committee, cfg, net)
         self.brain = brain
         self.camp = camp
+        self.audience = set(brain.camps[camp])
 
-    def broadcast(self, dsts, msg) -> None:
-        dsts = list(dsts)
-        super().broadcast(dsts, msg)
+    def _send(self, dsts, msg) -> None:
+        self.net.send(self.pid, self.audience.intersection(dsts), msg)
         self.brain.sibling_fanout(self.camp, dsts, msg)
+
+    def arm_retry(self, key: tuple, fires: int) -> None:
+        super().arm_retry(((self.camp, self.pid), key), fires)
+
+    def ingest_pofs(self, pofs) -> None:
+        pass  # evidence dies here
 
 
 class AdversaryBrain:
     """Coordinated deceitful coalition behind every deceitful pid.
 
-    One shadow process stack per (camp, deceitful id).  Honest frames are fed
-    to the sender's camp's shadows; shadow frames reach only their camp plus
-    (instantly) their camp siblings.  Fraud evidence delivered to the
+    One shadow process stack per (camp, deceitful id), each on a
+    ``_ShadowCore``.  Honest frames are fed to the sender's camp's shadows;
+    shadow frames reach only their camp plus (instantly) their camp
+    siblings, and a shadow's timer comes back here tagged with its
+    (camp, id), which picks the shadow.  Fraud evidence delivered to the
     coalition is discarded — the adversary never helps accountability — and
     everything stops, and is freed, at ``retire_at``.
     """
@@ -499,29 +512,9 @@ class AdversaryBrain:
         self._queue: deque = deque()
         self._draining = False
         self._seen: set = set()
-        for ci, camp in enumerate(camps):
-            audience = set(camp)
+        for ci in range(len(camps)):
             for pid in self.deceitful:
-                adapter = _ShadowAdapter(self.net, pid, audience, self, ci)
-                core = NodeCore(
-                    pid,
-                    world.registry,
-                    Committee(initial=world.members, h0=world.h0),
-                    world.cfg,
-                    adapter,
-                )
-                core.ingest_pofs = lambda pofs: None  # evidence dies here
-                ledger = world.fresh_ledger()
-                proc = AsmrProcess(
-                    core,
-                    world.members,
-                    world.h0,
-                    world.h_prime0,
-                    pool=(),
-                    proposal_fn=world.make_proposal_fn(pid, ledger, camp=ci),
-                    max_heights=scn.heights,
-                )
-                self.shadows[(ci, pid)] = proc
+                self.shadows[(ci, pid)] = world.new_process(pid, brain=self, camp=ci)[0]
 
     def start(self) -> None:
         self._draining = True  # hold sibling traffic until every stack is up
@@ -570,19 +563,20 @@ class AdversaryBrain:
     def on_timer(self, key) -> None:
         if self._silent():
             return
-        (_, ci, pid), inner = key
-        self.shadows[(ci, pid)].core.on_timer(inner)
+        shadow, inner = key
+        self.shadows[shadow].core.on_timer(inner)
         self._drain()
 
     # -- coalition plumbing ---------------------------------------------------
 
     def sibling_fanout(self, camp: int, dsts, msg) -> None:
         # reached only from a shadow's own send, inside start or a drain, so
-        # it checks the time without dropping the shadows under its caller
+        # it checks the time without dropping the shadows under its caller;
+        # like the network, it skips the sender
         if self.net.now >= self.retire_at:
             return
         for dst in dsts:
-            if (camp, dst) in self.shadows:
+            if dst != msg.signer and (camp, dst) in self.shadows:
                 self._queue.append((camp, dst, msg.signer, msg))
         self._drain()
 
@@ -708,35 +702,42 @@ class World:
             return lambda height: b"blk:%d:%d" % (pid, height)
         return lambda height: b"blk:%d:%d:camp%d" % (pid, height, camp)
 
-    def _build_process(self, pid: int, joined: bool) -> None:
-        adapter = NetAdapter(self.net, pid)
-        core = NodeCore(
-            pid,
-            self.registry,
-            Committee(initial=self.members, h0=self.h0),
-            self.cfg,
-            adapter,
-        )
+    def new_process(
+        self, pid: int, joined: bool = True, brain=None, camp: Optional[int] = None
+    ) -> tuple[AsmrProcess, Optional[LedgerState]]:
+        """A process and its ledger replica (None for token payloads).  With
+        a ``brain`` it is the shadow of ``pid`` in ``camp``: it runs on a
+        ``_ShadowCore``, proposes its camp's blocks and knows no standby
+        pool."""
+        committee = Committee(initial=self.members, h0=self.h0)
+        if brain is None:
+            core = NodeCore(pid, self.registry, committee, self.cfg, self.net)
+        else:
+            core = _ShadowCore(pid, self.registry, committee, self.cfg, self.net, brain, camp)
         ledger = self.fresh_ledger()
         proc = AsmrProcess(
             core,
             self.members,
             self.h0,
             self.h_prime0,
-            pool=self.roles.pool,
-            proposal_fn=self.make_proposal_fn(pid, ledger),
+            pool=self.roles.pool if brain is None else (),
+            proposal_fn=self.make_proposal_fn(pid, ledger, camp),
             max_heights=self.scn.heights,
             joined=joined,
         )
+        return proc, ledger
+
+    def _build_process(self, pid: int, joined: bool) -> None:
+        proc, ledger = self.new_process(pid, joined)
         if ledger is not None:
             self.ledgers[pid] = ledger
             proc.validator = self._block_validator(proc)
             proc.on_block = self._make_block_applier(ledger)
         proc.invite_hook = self._invite
         self.procs[pid] = proc
-        self.net.add_host(pid, core)
+        self.net.add_host(pid, proc.core)
         if pid in self.roles.honest:
-            self._watch_detection(pid, core, proc)
+            self._watch_detection(pid, proc.core, proc)
 
     def _block_entry(self, blob: bytes) -> tuple[Optional[Block], bool]:
         """The decoded block (None if it does not decode) and whether it

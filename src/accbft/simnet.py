@@ -223,10 +223,7 @@ class VirtualNet:
                 heappush(heap, at)
             else:
                 q.append((dst, src, out))
-            if filt is None:
-                sent += 1
-            else:
-                stats.count_send(out, post_gst)
+            sent += 1
             if stat == INTRA:
                 intra_sum += at - now
                 intra_n += 1
@@ -247,6 +244,8 @@ class VirtualNet:
                     }
                 )
         if sent:
+            # a filter may drop or garble a frame but keeps its instance, so
+            # one count by the original's channel covers every frame sent
             stats.count_send(msg, post_gst, sent)
         if intra_n:
             stats.intra_delay_sum += intra_sum

@@ -4,7 +4,7 @@ pre-run scenario whose outcome several test modules pick apart."""
 import pytest
 
 from accbft.committee import Committee, FaultProfile, default_h0
-from accbft.consensus import MultiContext, NetAdapter, NodeCore, ProtoConfig
+from accbft.consensus import MultiContext, NodeCore, ProtoConfig
 from accbft.crypto import (
     GROUP_MAIN,
     CHAN_BCAST,
@@ -70,7 +70,7 @@ def mini_world(n, seed=0, h0=None, alpha=None):
     cores = {}
     for pid in range(1, n + 1):
         committee = Committee(initial=tuple(range(1, n + 1)), h0=h0 or default_h0(n))
-        core = NodeCore(pid, reg, committee, cfg, NetAdapter(net, pid))
+        core = NodeCore(pid, reg, committee, cfg, net)
         net.add_host(pid, core)
         cores[pid] = core
     return net, reg, cores

@@ -350,7 +350,9 @@ def test_records_do_not_depend_on_the_hash_seed(name, seed):
 # delivery tick and so every delay draw, and which frames a send filter
 # dropped (agreement-n7 has benign and byzantine senders; the fork file has
 # attacker pids, read at zero delay).  The gamma and trace variants pin the
-# other two delay models.
+# other two delay models.  spam-n4 and llb-n9-h4 pin a broadcast-fork
+# coalition (the fork file's is a binary-fork one): what each shadow sends to
+# its camp's audience, taken before shadows became a NodeCore subclass.
 _TRACE_DELAYS = {
     "gamma": {"model": "gamma", "scale_ms": 2, "shape": 2.0},
     "trace": {
@@ -366,6 +368,8 @@ GOLDEN_TRACES = {
     "agreement-n7": "6283aca1508b5cfb1aaa05d8064cc2340324e39966c943dc6b6265997a375c1b",
     "clean-n4-gamma": "3d747c522822234dff4152d9bee54063a6b0b7a057e72210366b892ded7f8cb1",
     "clean-n4-trace": "dce381a98f5ed68814541d8050f967fe3c5db8d63a4da86a20a32b67468d7639",
+    "spam-n4": "67491362d316dd1e4abba56e51a8fded1b31fc5207b1e4dee3eab2603d4e5e6e",
+    "llb-n9-h4": "af4c7f125d4e7da5b5c06df6fc8f73bb0f836ebf520aab026a0b7dec86d2dabc",
 }
 
 
@@ -375,6 +379,8 @@ def test_golden_send_traces_are_unchanged():
         "clean-n4-h2": clean_scenario(4),
         "fork-binary-ledger-n9": load_scenario(files / "fork-binary-ledger-n9.json"),
         "agreement-n7": load_scenario(files / "agreement-n7.json"),
+        "spam-n4": load_scenario(files / "spam-n4.json"),
+        "llb-n9-h4": llb_scenario(heights=4),
     }
     for model, delay in _TRACE_DELAYS.items():
         cases["clean-n4-" + model] = dataclasses.replace(clean_scenario(4), delay=delay)
@@ -384,6 +390,94 @@ def test_golden_send_traces_are_unchanged():
         text = "".join(json.dumps(event, sort_keys=True) + "\n" for event in events)
         got[name] = hashlib.sha256(text.encode()).hexdigest()
     assert got == GOLDEN_TRACES
+
+
+class _ShadowNet:
+    """The network as one shadow core sees it: sends and timers are logged
+    under the shadow's (camp, pid) key, then passed on."""
+
+    def __init__(self, net, shadow, sends, armed):
+        self._net, self._shadow, self._sends, self._armed = net, shadow, sends, armed
+
+    def __getattr__(self, name):
+        return getattr(self._net, name)
+
+    def send(self, src, dsts, msg):
+        dsts = sorted(dsts)
+        self._sends.append((self._shadow, src, dsts, msg))
+        self._net.send(src, dsts, msg)
+
+    def arm_timer(self, pid, key, delay):
+        self._armed.setdefault(key, set()).add(self._shadow)
+        self._net.arm_timer(pid, key, delay)
+
+
+# binary-fork shadows live past their first timers; the llb coalition retires
+# before any of its timers fires, but it is sent fraud evidence first
+@pytest.mark.parametrize(
+    ("scn", "covers"),
+    [(fork_scenario("binary-fork"), "timers"), (llb_scenario(heights=4), "evidence")],
+    ids=["binary-fork", "llb-h4"],
+)
+def test_shadows_stay_in_their_camp(scn, covers):
+    """A shadow's frames reach only honest pids of its camp, its sibling
+    hand-offs stay in the camp, it never passes on fraud evidence, and each
+    of its timers that fires before the coalition retires reaches it."""
+    world = World(scn, 1)
+    brain = world.brain
+    honest = set(world.roles.honest)
+    sends, armed, handoffs, fired, checked, evidence = [], {}, [], [], [], []
+    cores = {shadow: proc.core for shadow, proc in brain.shadows.items()}
+
+    def timer_of(shadow, on_timer):
+        def wrapped(key):
+            fired.append((shadow, key))
+            on_timer(key)
+
+        return wrapped
+
+    for shadow, core in cores.items():
+        core.net = _ShadowNet(world.net, shadow, sends, armed)
+        core.on_timer = timer_of(shadow, core.on_timer)
+    fanout = brain.sibling_fanout
+
+    def sibling_fanout(camp, dsts, msg):
+        # a shadow hands a frame to its siblings right after sending it
+        shadow, _src, _dsts, sent = sends[-1]
+        assert sent is msg and camp == shadow[0]
+        handoffs.append((camp, msg))
+        fanout(camp, dsts, msg)
+
+    brain.sibling_fanout = sibling_fanout
+    on_timer = brain.on_timer
+
+    def brain_timer(key):
+        early = world.net.now < brain.retire_at
+        before = len(fired)
+        on_timer(key)
+        if early:
+            (shadow,) = armed[key]
+            assert fired[before:] == [(shadow, key[1])]
+            checked.append(key)
+
+    brain.on_timer = brain_timer
+    deliver = brain.deliver_frame
+
+    def brain_frame(src, msg):
+        if msg.kind == Kind.POF_LIST and world.net.now < brain.retire_at:
+            evidence.append(msg)
+        deliver(src, msg)
+
+    brain.deliver_frame = brain_frame
+    world.start()
+    assert world.net.run() == "quiescent"
+
+    assert sends and handoffs and {"timers": checked, "evidence": evidence}[covers]
+    for (camp, pid), src, dsts, msg in sends:
+        assert src == pid
+        assert set(dsts) <= honest & set(brain.camps[camp])
+        assert msg.kind != Kind.POF_LIST
+    assert len(handoffs) == len(sends)
 
 
 def ledger_fork_shape(heights):
