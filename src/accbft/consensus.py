@@ -20,6 +20,7 @@ apart and checked against what we stored locally.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -45,6 +46,7 @@ from .crypto import (
     quorum_valid,
     verify_message,
 )
+from .simnet import SlotIndex
 
 _ENVELOPES = frozenset({Kind.MSGSET, Kind.POF_LIST})
 BACKOFF = 1.5  # retransmission timer multiplier per earlier fire
@@ -76,32 +78,47 @@ class MessageStore:
     A duplicate that carries a certificate when the stored copy has none
     upgrades the stored copy in place: justifications travel lazily.
 
-    Live instances are indexed twice: ``slots`` by slot and ``by_instance``
-    by instance, in first-admission order.  ``retire(iid)`` takes an instance
-    whose state machine can no longer act out of both, and keeps its log,
-    every message and its certificate, in ``retired``: admission still finds
-    a conflict, a duplicate or an upgrade there by scanning that log, so a
-    late equivocation yields the same proof of fraud as before.  A new
-    message for a retired instance joins its log, never ``slots``.
+    ``by_instance`` lists each live instance's messages in this store's
+    first-admission order, which ``group``, ``quorum_cert`` and
+    ``NodeCore.register_context``'s replay read, so it stays per store.  The
+    slot index is shared: the stores of one network see the same message
+    objects, so they index them in one ``SlotIndex`` table
+    (``simnet.VirtualNet.slot_index``; a store made without one keeps its
+    own).  The table maps a slot key to the one object the stores admitted,
+    or to a list of variants when stores hold different objects for the
+    slot: an equivocation, or an upgrade one store has taken and another
+    has not.  ``mark`` is this store's bit in ``SignedMessage._held``: it
+    is set on the very object the store holds for a slot, and moved to the
+    new copy on an upgrade, so the store finds its own variant in the table
+    by its bit, and ``m._held & store.mark`` tells whether it holds m itself
+    without hashing the slot.  Stores that share a table need distinct
+    marks.  ``slots`` is a read-only view of this store's part of it.
 
-    A live slot's key is the tuple ``SignedMessage.slot()`` caches on the
-    message, so the stores of one network share one key per slot.
-    ``retire`` clears that cache, and the log scan compares the slot's
-    fields instead of building a key, so a retired message keeps no key
-    once every store has retired its instance.
-
-    ``mark`` is this store's bit in ``SignedMessage._held``: it is set on the
-    very object the live index or a retired log holds for a slot, and moved
-    to the new copy on an upgrade, so ``m._held & store.mark`` tells whether
-    the store holds m itself without hashing the slot.  Stores that see the
-    same message objects (the stores of one network) need distinct marks.
+    ``retire(iid)`` takes an instance whose state machine can no longer act
+    out of ``by_instance`` and keeps its log, every message and its
+    certificate, in ``retired``: admission still finds a conflict, a
+    duplicate or an upgrade there by scanning that log, so a late
+    equivocation yields the same proof of fraud as before.  A new message
+    for a retired instance joins its log, never the table.  The table
+    counts the stores that hold each instance live; when the last of them
+    retires it, the instance's entries are deleted and the slot keys its
+    messages cache (``SignedMessage.slot()``) are cleared, so a retired
+    message keeps no key, and no key is built again to delete it.
     """
 
-    def __init__(self, mark: int) -> None:
-        self.slots: dict[tuple, SignedMessage] = {}
+    def __init__(self, mark: int, index: Optional[SlotIndex] = None) -> None:
+        if index is None:
+            index = SlotIndex()
+        self.table = index.table
+        self.opened = index.opened
         self.by_instance: dict[InstanceId, list[SignedMessage]] = {}
         self.retired: dict[InstanceId, list[SignedMessage]] = {}
         self.mark = mark
+
+    @property
+    def slots(self) -> "HeldSlots":
+        """This store's live messages by slot key, read-only."""
+        return HeldSlots(self)
 
     def group(
         self, kind: int, iid: InstanceId, round: int, phase: int
@@ -125,18 +142,50 @@ class MessageStore:
     def first(
         self, kind: int, iid: InstanceId, round: int, phase: int, signer: int
     ) -> Optional[SignedMessage]:
-        return self.slots.get((kind, iid, round, phase, signer))
+        """The message this store holds live for a slot, if any."""
+        if iid in self.retired:
+            return None
+        entry = self.table.get((kind, iid, round, phase, signer))
+        if entry.__class__ is list:
+            for m in entry:
+                if m._held & self.mark:
+                    return m
+            return None
+        if entry is not None and entry._held & self.mark:
+            return entry
+        return None
 
     def admit(self, registry, msg: SignedMessage) -> tuple[str, Optional[Pof]]:
         """Returns (status, pof) with status in new|dup|upgraded|conflict."""
+        mark = self.mark
         log = self.retired.get(msg.instance)
         if log is None:
             key = msg.slot()
-            prev = self.slots.get(key)
+            table = self.table
+            prev = table.get(key)
+            # prev becomes the variant this store holds, or None
             if prev is None:
-                self.slots[key] = msg
-                msg._held |= self.mark
-                self.by_instance.setdefault(msg.instance, []).append(msg)
+                table[key] = msg
+            elif prev.__class__ is list:
+                for v in prev:
+                    if v._held & mark:
+                        prev = v
+                        break
+                else:
+                    if msg not in prev:
+                        prev.append(msg)
+                    prev = None
+            elif not prev._held & mark:
+                if prev is not msg:
+                    table[key] = [prev, msg]
+                prev = None
+            if prev is None:
+                msg._held |= mark
+                held = self.by_instance.get(msg.instance)
+                if held is None:
+                    self._open(msg.instance, [msg])
+                else:
+                    held.append(msg)
                 return "new", None
         else:
             # a retired instance: its slots are compared field by field, so
@@ -151,32 +200,74 @@ class MessageStore:
                 ):
                     break
             else:
-                msg._held |= self.mark
+                msg._held |= mark
                 log.append(msg)
                 return "new", None
         if prev.payload != msg.payload:
             return "conflict", derive_pof(registry, prev, msg)
         if msg.certificate and not prev.certificate:
             if log is None:
-                self.slots[key] = msg
+                self._swap_variant(key, prev, msg)
                 log = self.by_instance[msg.instance]
-            prev._held &= ~self.mark
-            msg._held |= self.mark
+            prev._held &= ~mark
+            msg._held |= mark
             log[log.index(prev)] = msg
             return "upgraded", None
         return "dup", None
 
+    def _open(self, iid: InstanceId, held: list) -> None:
+        """Start this store's live log of an instance, and count the store
+        among those that hold the instance live."""
+        self.by_instance[iid] = held
+        opened = self.opened.get(iid)
+        if opened is None:
+            self.opened[iid] = [1, held]
+        else:
+            opened[0] += 1
+            opened.append(held)
+
+    def _swap_variant(self, key: tuple, prev: SignedMessage, msg: SignedMessage) -> None:
+        """Put the upgrade msg among the slot's variants, and take prev out
+        once no store holds it any more."""
+        entry = self.table[key]
+        variants = entry if entry.__class__ is list else [entry]
+        if not prev._held & ~self.mark:
+            variants.remove(prev)
+        if msg not in variants:
+            variants.append(msg)
+        self.table[key] = variants[0] if len(variants) == 1 else variants
+
     def retire(self, iid: InstanceId) -> None:
-        """Move an instance's messages out of the live index into its log,
-        and clear their cached slot keys: a key then lives only in the
-        stores where the instance is still live, and each of those builds
-        it once more to delete it."""
-        slots = self.slots
-        log = self.by_instance.pop(iid, [])
-        for m in log:
-            del slots[(m.kind, iid, m.round, m.phase, m.signer)]
-            m._slot = None
-        self.retired[iid] = log
+        """Move an instance's messages out of the live index into its log.
+        The last store of the network to retire it deletes its table
+        entries and clears their cached slot keys, reading each key from
+        the message that caches it."""
+        held = self.by_instance.pop(iid, None)
+        if held is None:
+            self.retired[iid] = []
+            return
+        self.retired[iid] = held
+        opened = self.opened[iid]
+        opened[0] -= 1
+        if opened[0]:
+            return
+        del self.opened[iid]
+        table = self.table
+        for log in opened[1:]:
+            for m in log:
+                key = m._slot
+                if key is not None:
+                    m._slot = None
+                    entry = table.pop(key, None)
+                    if entry.__class__ is list:
+                        for v in entry:
+                            v._slot = None
+
+    def release(self) -> None:
+        """Retire every live instance of a store that is being dropped, so
+        its share of the table does not outlive it."""
+        for iid in list(self.by_instance):
+            self.retire(iid)
 
     def instance_msgs(
         self,
@@ -195,6 +286,30 @@ class MessageStore:
                 continue
             out.append(m)
         return out
+
+
+class HeldSlots(Mapping):
+    """A read-only view of one store's live slot index: slot key -> the
+    message the store holds for it, in first-admission order per instance."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: MessageStore) -> None:
+        self._store = store
+
+    def __getitem__(self, key: tuple) -> SignedMessage:
+        m = self._store.first(*key)
+        if m is None:
+            raise KeyError(key)
+        return m
+
+    def __iter__(self):
+        for held in self._store.by_instance.values():
+            for m in held:
+                yield m.slot()
+
+    def __len__(self) -> int:
+        return sum(map(len, self._store.by_instance.values()))
 
 
 class NodeCore:
@@ -217,7 +332,7 @@ class NodeCore:
         self.committee = committee
         self.cfg = cfg
         self.net = net
-        self.store = MessageStore(net.store_mark())
+        self.store = MessageStore(net.store_mark(), net.slot_index)
         self.metrics = CoreMetrics()
         self.contexts: dict[tuple, "MultiContext"] = {}
         # every instance id a live context owns -> (context, instance); the

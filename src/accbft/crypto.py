@@ -68,9 +68,11 @@ class SignedMessage:
     later proof of fraud, so it holds no bytes derived from its fields:
     ``core_encoding()`` is built on each call.  Three per-object fields
     are not part of the message: ``_sigok`` memoises the signature check,
-    ``_slot`` caches the slot key while some store indexes the message
-    live (see consensus.MessageStore), and ``_held`` marks the stores that
-    hold this very object.
+    ``_slot`` caches the slot key, which is also the message's key in the
+    live slot table the stores of a network share, and ``_held`` marks the
+    stores that hold this very object (see consensus.MessageStore).  The
+    last store of the network to retire the message's instance clears
+    ``_slot``, so a message no store indexes live keeps no key.
     """
 
     kind: int
@@ -88,7 +90,8 @@ class SignedMessage:
     _sigok: Optional[bool] = field(default=None, repr=False, compare=False)
     _slot: Optional[tuple] = field(default=None, repr=False, compare=False)
     # bit i set while the store with mark 1 << i holds this very object, in
-    # its live index or a retired log (see consensus.MessageStore)
+    # its live log or a retired log; in the shared live table it is how that
+    # store tells its own variant of a slot from another store's
     _held: int = field(default=0, repr=False, compare=False)
 
     def core_encoding(self) -> bytes:

@@ -112,6 +112,12 @@ def catch_up(registry, blocks: list[dict]) -> int:
     return len(blocks)
 
 
+def _copy_chain(chain: list[dict]) -> list[dict]:
+    """The chain with every block record, and its mutable bits map, copied;
+    the rest of a record (tuples, bytes, messages) is never written."""
+    return [dict(block, bits=dict(block["bits"])) for block in chain]
+
+
 class AsmrProcess:
     """One process's replicated-state-machine loop with committee repair.
 
@@ -408,24 +414,27 @@ class AsmrProcess:
     # ------------------------------------------------------------ new members
 
     def snapshot(self) -> dict:
+        """A copy of this process's state for the processes it invites; it
+        shares no mutable object with the process."""
         return {
             "height": self.height,
             "changes_done": self.changes_done,
             "members": list(self.members),
-            "chain": list(self.chain),
+            "chain": _copy_chain(self.chain),
             "pofs": dict(self.pofs),
             "pool_used": set(self.pool_used),
         }
 
     def join(self, snapshot: dict) -> None:
-        """Adopt a verified state copy and start participating."""
+        """Adopt a verified state copy and start participating.  The chain
+        is copied again, since one snapshot goes to every invitee."""
         if self.joined:
             return
         catch_up(self.core.registry, snapshot["chain"])
         self.height = snapshot["height"]
         self.changes_done = snapshot["changes_done"]
         self.members = list(snapshot["members"])
-        self.chain = list(snapshot["chain"])
+        self.chain = _copy_chain(snapshot["chain"])
         self.pofs = dict(snapshot["pofs"])
         self.pool_used = set(snapshot["pool_used"])
         self.joined = True

@@ -537,10 +537,13 @@ class AdversaryBrain:
     def _silent(self) -> bool:
         """Whether the coalition has retired.  The first network event at or
         after ``retire_at`` drops the shadows and everything queued or seen
-        for them, since nothing reaches them from then on."""
+        for them, since nothing reaches them from then on.  Their stores
+        give up their part of the network's shared slot index first."""
         if self.net.now < self.retire_at:
             return False
         if self.shadows:
+            for proc in self.shadows.values():
+                proc.core.store.release()
             self.shadows.clear()
             self._seen.clear()
             self._queue.clear()

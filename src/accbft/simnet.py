@@ -79,6 +79,23 @@ class NetConfig:
     cross: Optional[DelayModel] = None   # honest pairs in different partitions
 
 
+class SlotIndex:
+    """The live slot table that the message stores of one network share
+    (see consensus.MessageStore).
+
+    ``table`` maps a slot key to the one message object the stores hold for
+    that slot, or to a list of the variants when they hold different objects
+    for it.  ``opened`` maps an instance id to a list: the number of stores
+    that hold the instance live, then each such store's instance log.
+    """
+
+    __slots__ = ("table", "opened")
+
+    def __init__(self) -> None:
+        self.table: dict[tuple, object] = {}
+        self.opened: dict[tuple, list] = {}
+
+
 class VirtualNet:
     """Calendar event queue + per-link delay assignment.  Hosts register with
     deliver_frame/on_timer.
@@ -114,6 +131,7 @@ class VirtualNet:
         self.stats = NetStats()
         self.trace: Optional[list] = None
         self._stores = 0  # message stores given a mark so far
+        self.slot_index = SlotIndex()  # the live index those stores share
 
     # -- wiring ------------------------------------------------------------
 
@@ -122,8 +140,8 @@ class VirtualNet:
 
     def store_mark(self) -> int:
         """A bit of its own for one message store on this network: the stores
-        that receive the same frame objects tell their held marks apart by it
-        (see consensus.MessageStore)."""
+        that receive the same frame objects tell their held marks apart by it,
+        also in the ``slot_index`` they share (see consensus.MessageStore)."""
         mark = 1 << self._stores
         self._stores += 1
         return mark

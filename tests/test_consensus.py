@@ -20,10 +20,13 @@ from accbft.crypto import (
     GROUP_MAIN,
     KeyRegistry,
     Kind,
+    derive_pof,
     make_message,
     pofs_payload,
     verify_message,
 )
+from accbft.scenarios import clean_scenario, run_scenario
+from accbft.simnet import SlotIndex
 from conftest import fraud_proof, mini_world, start_contexts
 
 INST = (0, 0, GROUP_MAIN, CHAN_BCAST, 1)
@@ -102,6 +105,118 @@ def test_instance_msgs_filters(registry):
     assert store.instance_msgs(INST, min_round=2, min_phase=2) == [m_rdy]
     assert store.instance_msgs(INST, only_kinds=(Kind.READY,)) == [m_rdy]
     assert store.group(Kind.ECHO, INST, 1, 1) == {1: m_r1}
+
+
+# -- the slot index the stores of one network share ------------------------------
+
+
+def _sharing(*marks):
+    index = SlotIndex()
+    return index, [MessageStore(mark, index) for mark in marks]
+
+
+def test_each_store_finds_its_own_variant_of_an_equivocated_slot(registry):
+    index, (a, b) = _sharing(1, 2)
+    v = make_message(registry, 2, Kind.ECHO, INST, 1, 1, b"v")
+    w = make_message(registry, 2, Kind.ECHO, INST, 1, 1, b"w")
+    x = make_message(registry, 2, Kind.ECHO, INST, 1, 1, b"x")
+    assert a.admit(registry, v) == ("new", None)
+    assert b.admit(registry, w) == ("new", None)
+    assert index.table[v.slot()] == [v, w]
+    assert a.first(Kind.ECHO, INST, 1, 1, 2) is v and b.first(Kind.ECHO, INST, 1, 1, 2) is w
+    # each store convicts against its own variant, as a store of its own would
+    for store, held, other in ((a, v, w), (b, w, v)):
+        for late in (x, other):
+            alone = MessageStore(1 << 20)
+            alone.admit(registry, held)
+            want = alone.admit(registry, late)
+            status, pof = store.admit(registry, late)
+            assert status == want[0] == "conflict"
+            assert pof.encoding() == want[1].encoding() == derive_pof(registry, held, late).encoding()
+    assert index.table[v.slot()] == [v, w]
+    assert dict(a.slots) == {v.slot(): v} and dict(b.slots) == {w.slot(): w}
+
+
+def test_an_upgrade_in_one_store_leaves_the_others_bare_copy(registry):
+    index, (a, b) = _sharing(1, 2)
+    bare = make_message(registry, 1, Kind.EST, INST, 2, 0, b"v")
+    inner = make_message(registry, 2, Kind.ECHO, INST, 1, 2, b"v")
+    carrying = make_message(registry, 1, Kind.EST, INST, 2, 0, b"v", certificate=(inner,))
+    key = bare.slot()
+    for store in (a, b):
+        assert store.admit(registry, bare) == ("new", None)
+    assert index.table[key] is bare
+    assert a.admit(registry, carrying) == ("upgraded", None)
+    assert index.table[key] == [bare, carrying]
+    assert a.first(*key) is carrying and a.instance_msgs(INST) == [carrying]
+    assert b.first(*key) is bare and b.slots.get(key) is bare and key in b.slots
+    assert b.instance_msgs(INST) == [bare]
+    assert b.admit(registry, bare) == ("dup", None)
+    # once the other store takes the upgrade too, the bare copy is held nowhere
+    assert b.admit(registry, carrying) == ("upgraded", None)
+    assert index.table[key] is carrying and not bare._held
+
+
+def test_entries_are_freed_when_the_last_store_that_opened_the_instance_retires_it(
+    registry,
+):
+    index, (a, b, c) = _sharing(1, 2, 4)
+    v = make_message(registry, 2, Kind.ECHO, INST, 1, 1, b"v")
+    w = make_message(registry, 2, Kind.ECHO, INST, 1, 1, b"w")
+    y = make_message(registry, 3, Kind.ECHO, INST, 1, 1, b"v")
+    other = (0, 0, GROUP_MAIN, CHAN_BCAST, 2)
+    z = make_message(registry, 3, Kind.ECHO, other, 1, 1, b"z")
+    for store, m in ((a, v), (a, y), (b, w), (c, z)):
+        assert store.admit(registry, m)[0] == "new"
+    assert index.opened[INST][0] == 2
+    for store in (a, c):  # c never opened the instance
+        store.retire(INST)
+        assert len(index.table) == 3 and all(m._slot for m in (v, w, y))
+        assert a.first(*v.slot()) is None and b.first(*w.slot()) is w
+    b.retire(INST)
+    # every entry of the instance goes, held in a retired log or not
+    assert list(index.table) == [z.slot()] and list(index.opened) == [other]
+    assert v._slot is None and w._slot is None and y._slot is None
+    assert z._slot is not None
+    assert a.retired[INST] == [v, y] and b.retired[INST] == [w] and c.retired[INST] == []
+
+
+def test_a_late_equivocation_after_a_partial_retirement(registry):
+    index, (a, b) = _sharing(1, 2)
+    v = make_message(registry, 2, Kind.ECHO, INST, 1, 1, b"v")
+    w = make_message(registry, 2, Kind.ECHO, INST, 1, 1, b"w")
+    for store in (a, b):
+        assert store.admit(registry, v) == ("new", None)
+    a.retire(INST)
+    assert index.table[v.slot()] is v
+    want = derive_pof(registry, v, w).encoding()
+    statuses = []
+    for store in (a, b):  # a scans its log, b finds v in the table
+        status, pof = store.admit(registry, w)
+        statuses.append(status)
+        assert pof.encoding() == want
+    assert statuses == ["conflict", "conflict"]
+    assert a.retired[INST] == [v] and b.instance_msgs(INST) == [v]
+    # a new slot of the retired instance joins the log, not the shared table
+    y = make_message(registry, 3, Kind.ECHO, INST, 1, 1, b"v")
+    assert a.admit(registry, y) == ("new", None)
+    assert a.retired[INST] == [v, y] and INST not in a.by_instance
+    assert list(index.table) == [v.slot()] and index.opened[INST][0] == 1
+    assert y._slot is None and b.admit(registry, y) == ("new", None)
+
+
+@pytest.mark.parametrize(
+    "n, distinct", [(10, 604), (20, 2379), pytest.param(40, 9522, marks=pytest.mark.slow)]
+)
+def test_the_network_indexes_each_live_slot_once(n, distinct):
+    world = run_scenario(clean_scenario(n), 1).world
+    stores = [proc.core.store for proc in world.procs.values()]
+    # one height, so nothing retires: every store holds every slot
+    assert [len(s.slots) for s in stores] == [sum(map(len, s.by_instance.values())) for s in stores]
+    assert sum(len(s.slots) for s in stores) == n * distinct
+    table = world.net.slot_index.table
+    assert len(table) == distinct
+    assert set(table) == {m.slot() for s in stores for log in s.by_instance.values() for m in log}
 
 
 # -- value-set codec ------------------------------------------------------------

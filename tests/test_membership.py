@@ -1,5 +1,7 @@
 """Durable membership change: triggers, replacement choice, chain catch-up."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from accbft.membership import (
     h_prime_preset,
     round_robin_choose,
 )
-from accbft.scenarios import clean_scenario, run_scenario, spam_scenario
+from accbft.scenarios import clean_scenario, fork_scenario, run_scenario, spam_scenario
 
 
 @pytest.mark.parametrize("n,h0,expected", [(4, 3, 2), (9, 6, 3), (9, 7, 5), (12, 8, 4)])
@@ -139,3 +141,32 @@ def test_spam_run_recovers_by_exclusion():
     assert record["phases"]["3"] == "done" and record["phases"]["4"] == "done"
     assert record["committee_excluded"] == {"3": [1], "4": [1]}
     assert record["failures"] == {}
+
+
+def _mutable_parts(chain):
+    """The ids of a chain list, its block records and their mutable values."""
+    ids = {id(chain)}
+    for block in chain:
+        ids.add(id(block))
+        ids.update(id(v) for v in block.values() if isinstance(v, (dict, list, set)))
+    return ids
+
+
+def test_a_joiner_shares_no_block_record_with_another_process():
+    # every standby joins on one inviter's snapshot; a block record shared
+    # with it would show that inviter's later confirmations in every chain
+    scn = replace(
+        fork_scenario("binary-fork", payload="ledger"),
+        heights=6,
+        pool=5,
+        txs_per_block=16,
+        deposit={"gain_cap": 1600, "factor": "0.1", "blockdepth": 28},
+        alpha="4/9",
+    )
+    world = run_scenario(scn, 1).world
+    joiners = [pid for pid in world.roles.pool if world.procs[pid].chain]
+    assert len(joiners) == 5
+    parts = {pid: _mutable_parts(proc.chain) for pid, proc in world.procs.items()}
+    for pid in joiners:
+        for other, ids in parts.items():
+            assert other == pid or not parts[pid] & ids, (pid, other)

@@ -47,15 +47,17 @@ def test_retiring_inert_contexts_keeps_the_records(name, monkeypatch):
 
 
 def _retired_core():
-    """Core 1 of a clean 4-process agreement, its one context retired."""
+    """Core 1 of a clean 4-process agreement, its one context retired in
+    every core, so no store of the network holds its instances live."""
     net, reg, cores = mini_world(4)
     ctxs = start_contexts(cores, {p: b"v%d" % p for p in cores})
     assert net.run() == "quiescent"
-    core = cores[1]
-    assert ctxs[1].inert()
-    core.retire_inert()
-    assert core.contexts == {} and core.routes == {} and core.store.slots == {}
-    return reg, core, ctxs[1]
+    for pid, core in cores.items():
+        assert ctxs[pid].inert()
+        core.retire_inert()
+        assert core.contexts == {} and core.routes == {} and core.store.slots == {}
+    assert net.slot_index.table == {} and net.slot_index.opened == {}
+    return reg, cores[1], ctxs[1]
 
 
 def _keyless(store):
@@ -171,13 +173,17 @@ def test_live_state_stays_flat_as_the_chain_grows(seed):
     assert slots30 <= slots10 * 1.25
 
 
-def test_messages_held_only_by_retired_logs_keep_no_slot_key():
+def test_messages_of_instances_no_store_holds_live_keep_no_slot_key():
     world = run_scenario(llb_scenario(heights=10), 1).world
     stores = [proc.core.store for proc in world.procs.values()]
-    live = {id(m) for store in stores for m in store.slots.values()}
+    live = {iid for store in stores for iid in store.by_instance}
+    held = [m for store in stores for log in store.by_instance.values() for m in log]
     retired = [m for store in stores for log in store.retired.values() for m in log]
-    assert len(retired) > 10 * len(live)
-    assert all(m._slot is None for m in retired if id(m) not in live)
+    assert len(retired) > 10 * len(set(map(id, held)))
+    assert all(m._slot is None for m in retired if m.instance not in live)
+    # the shared table indexes exactly the slots some store holds live
+    assert set(world.net.slot_index.table) == {m.slot() for m in held}
+    assert set(world.net.slot_index.opened) == live
 
 
 def _accused_runs():

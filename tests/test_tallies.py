@@ -11,9 +11,14 @@ committee-version bump).  After every step:
 - the tallies the next pump would count with equal a recount of the store;
 - every grouped view of the store equals a reference the test keeps from the
   messages offered to the store;
-- for every message offered, the held mark of the core's store and of a
-  second store that admits the same message objects equals whether that
-  store's slot holds that very object.
+- a second store shares the network's slot index with the core's store and
+  is offered every message the core's store is, stripped of its
+  certificate, so the two stores hold different variants of every slot the
+  core holds a certified copy of; each store's grouped views and first()
+  equal the reference kept from its own offers;
+- for every message offered, each store's held mark equals whether its live
+  log holds that very object, each store's slot view finds exactly what its
+  live logs hold, and the shared table holds those messages and no other.
 """
 
 from hypothesis import example, given, settings
@@ -97,10 +102,24 @@ def check_held_back_pumps(ctxs):
             assert (len(inst.core.store.slots), progress(inst)) == before
 
 
-def check_held_marks(offered, stores):
-    for m in offered:
-        for store in stores:
-            assert bool(m._held & store.mark) == (store.slots.get(m.slot()) is m)
+def check_held_marks(offered, stores, index):
+    keys = set()
+    for store in stores:
+        held = [m for log in store.by_instance.values() for m in log]
+        ids = set(map(id, held))
+        for m in offered:
+            assert bool(m._held & store.mark) == (id(m) in ids)
+        live = {m.slot(): m for m in held}
+        assert len(live) == len(held) == len(store.slots)
+        assert all(store.slots.get(key) is m for key, m in live.items())
+        keys.update(live)
+    # one entry per slot some store holds live: its one message, or a list of
+    # two or more distinct variants, each held by some store
+    assert set(index.table) == keys
+    for entry in index.table.values():
+        variants = entry if type(entry) is list else [entry]
+        assert len(set(map(id, variants))) == len(variants) >= 1 + (variants is entry)
+        assert all(any(v._held & store.mark for store in stores) for v in variants)
 
 
 def check_tallies(ctxs):
@@ -147,6 +166,7 @@ class GroupReference:
             got = self.store.group(*key)
             assert list(got) == list(want)
             assert all(got[s] is m for s, m in want.items())
+            assert all(self.store.first(*key, s) is m for s, m in want.items())
         assert sum(map(len, self.groups.values())) == len(self.store.slots)
 
 
@@ -178,15 +198,18 @@ def test_tallies_match_a_recount_after_every_step(actions):
     net, reg, cores = mini_world(N)
     core = cores[1]
     ref = GroupReference(core.store)
-    # a second store on the same network admits every message object the
-    # core's store is offered, so the two stores' held marks must not mix
-    twin = MessageStore(net.store_mark())
+    # a second store on the same network, sharing its slot index, admits the
+    # stripped copy of every message the core's store is offered: the same
+    # object when the message is bare, another variant when it is certified
+    twin = MessageStore(net.store_mark(), net.slot_index)
+    twin_ref = GroupReference(twin)
     offered = []
     admit = core.store.admit
 
     def sharing(registry, msg):
-        offered.append(msg)
-        twin.admit(registry, msg)
+        bare = msg.stripped()
+        offered.extend((msg, bare))
+        twin.admit(registry, bare)
         return admit(registry, msg)
 
     core.store.admit = sharing
@@ -199,7 +222,8 @@ def test_tallies_match_a_recount_after_every_step(actions):
         check_held_back_pumps(ctxs)
         check_tallies(ctxs)
         ref.check()
-        check_held_marks(offered, (core.store, twin))
+        twin_ref.check()
+        check_held_marks(offered, (core.store, twin), net.slot_index)
 
     side = Committee(initial=tuple(range(1, N + 1)), h0=core.committee.h0)
     ctxs = [MultiContext(core, core.committee, period=0), MultiContext(core, side, period=1)]
