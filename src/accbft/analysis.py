@@ -146,24 +146,31 @@ def blockdepth_reference_rows() -> list[dict]:
 
 
 def frontier(n: int, h: int) -> set[tuple[int, int, int]]:
-    """Extremal (t, d, q) budgets for threshold h: tolerated, but no +1 is."""
+    """Extremal (t, d, q) budgets for threshold h: tolerated, but no +1 is.
+
+    Tolerance is downward closed in t, d and q, so for each (t, d) only the
+    largest tolerated q can be extremal, and that q does not grow with d:
+    one walk down q per t finds them all, in O(n^2) checks.
+    """
+
+    def tolerated(t: int, d: int, q: int) -> bool:
+        return t + d + q <= n and threshold_tolerated(
+            FaultProfile(n=n, t=t, d=d, q=q), h
+        ) == (True, True)
+
     out: set[tuple[int, int, int]] = set()
     for t in range(n + 1):
+        q = n - t
         for d in range(n - t + 1):
-            for q in range(n - t - d + 1):
-                p = FaultProfile(n=n, t=t, d=d, q=q)
-                if threshold_tolerated(p, h) != (True, True):
-                    continue
-                bigger = [(t + 1, d, q), (t, d + 1, q), (t, d, q + 1)]
-                extremal = True
-                for t2, d2, q2 in bigger:
-                    if t2 + d2 + q2 <= n and threshold_tolerated(
-                        FaultProfile(n=n, t=t2, d=d2, q=q2), h
-                    ) == (True, True):
-                        extremal = False
-                        break
-                if extremal:
-                    out.add((t, d, q))
+            q = min(q, n - t - d)
+            while q >= 0 and not tolerated(t, d, q):
+                q -= 1
+            if q < 0:
+                break  # nor is any larger d tolerated
+            if not tolerated(t + 1, d, q) and not tolerated(t, d + 1, q):
+                out.add((t, d, q))
+        if not tolerated(t, 0, 0):
+            break  # nor is any larger t
     return out
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Optional
 
 from .analysis import alpha_confirm_threshold
@@ -82,28 +83,30 @@ class MessageStore:
     first-admission order, which ``group``, ``quorum_cert`` and
     ``NodeCore.register_context``'s replay read, so it stays per store.  The
     slot index is shared: the stores of one network see the same message
-    objects, so they index them in one ``SlotIndex`` table
+    objects, so they index them in one ``SlotIndex``
     (``simnet.VirtualNet.slot_index``; a store made without one keeps its
-    own).  The table maps a slot key to the one object the stores admitted,
+    own).  Its table maps a slot key to the one object the stores admitted,
     or to a list of variants when stores hold different objects for the
     slot: an equivocation, or an upgrade one store has taken and another
     has not.  ``mark`` is this store's bit in ``SignedMessage._held``: it
     is set on the very object the store holds for a slot, and moved to the
     new copy on an upgrade, so the store finds its own variant in the table
     by its bit, and ``m._held & store.mark`` tells whether it holds m itself
-    without hashing the slot.  Stores that share a table need distinct
-    marks.  ``slots`` is a read-only view of this store's part of it.
+    without hashing the slot.  Stores that share an index need distinct
+    marks.  ``slots`` is a read-only view of this store's part of the table.
 
     ``retire(iid)`` takes an instance whose state machine can no longer act
-    out of ``by_instance`` and keeps its log, every message and its
-    certificate, in ``retired``: admission still finds a conflict, a
-    duplicate or an upgrade there by scanning that log, so a late
-    equivocation yields the same proof of fraud as before.  A new message
-    for a retired instance joins its log, never the table.  The table
-    counts the stores that hold each instance live; when the last of them
-    retires it, the instance's entries are deleted and the slot keys its
-    messages cache (``SignedMessage.slot()``) are cleared, so a retired
-    message keeps no key, and no key is built again to delete it.
+    out of ``by_instance`` and into the network's one log of it
+    (``SlotIndex.logs``), which the stores that retired the instance share:
+    it lists each message any of them holds once, and a store's part of it
+    is the messages that carry the store's mark.  Admission still finds a
+    conflict, a duplicate or an upgrade in that part by scanning the log,
+    so a late equivocation yields the same proof of fraud as before.  A new
+    message for a retired instance joins the log, never the table.  The
+    index counts the stores that hold each instance live; the last of them
+    to retire it walks the log to delete the instance's table entries and
+    clear the slot keys its messages cache (``SignedMessage.slot()``), so a
+    retired message keeps no key, and no key is built again to delete it.
     """
 
     def __init__(self, mark: int, index: Optional[SlotIndex] = None) -> None:
@@ -111,8 +114,8 @@ class MessageStore:
             index = SlotIndex()
         self.table = index.table
         self.opened = index.opened
+        self.logs = index.logs
         self.by_instance: dict[InstanceId, list[SignedMessage]] = {}
-        self.retired: dict[InstanceId, list[SignedMessage]] = {}
         self.mark = mark
 
     @property
@@ -143,7 +146,8 @@ class MessageStore:
         self, kind: int, iid: InstanceId, round: int, phase: int, signer: int
     ) -> Optional[SignedMessage]:
         """The message this store holds live for a slot, if any."""
-        if iid in self.retired:
+        log = self.logs.get(iid)
+        if log is not None and log[0] & self.mark:
             return None
         entry = self.table.get((kind, iid, round, phase, signer))
         if entry.__class__ is list:
@@ -158,7 +162,9 @@ class MessageStore:
     def admit(self, registry, msg: SignedMessage) -> tuple[str, Optional[Pof]]:
         """Returns (status, pof) with status in new|dup|upgraded|conflict."""
         mark = self.mark
-        log = self.retired.get(msg.instance)
+        log = self.logs.get(msg.instance)
+        if log is not None and not log[0] & mark:
+            log = None  # only other stores retired it: this one holds it live
         if log is None:
             key = msg.slot()
             table = self.table
@@ -189,29 +195,36 @@ class MessageStore:
                 return "new", None
         else:
             # a retired instance: its slots are compared field by field, so
-            # no slot key is built for it again
+            # no slot key is built for it again, and only this store's
+            # variant counts
             kind, round, phase, signer = msg.kind, msg.round, msg.phase, msg.signer
-            for prev in log:
+            for prev in islice(log, 1, None):
                 if (
                     prev.signer == signer
                     and prev.round == round
                     and prev.phase == phase
                     and prev.kind == kind
+                    and prev._held & mark
                 ):
                     break
             else:
+                if not msg._held & log[0]:  # not listed yet for another store
+                    log.append(msg)
+                    if not msg._held:  # a key cached elsewhere indexes nothing
+                        msg._slot = None
                 msg._held |= mark
-                log.append(msg)
                 return "new", None
         if prev.payload != msg.payload:
             return "conflict", derive_pof(registry, prev, msg)
         if msg.certificate and not prev.certificate:
             if log is None:
                 self._swap_variant(key, prev, msg)
-                log = self.by_instance[msg.instance]
+                held = self.by_instance[msg.instance]
+                held[held.index(prev)] = msg
+            else:
+                self._swap_logged(log, prev, msg)
             prev._held &= ~mark
             msg._held |= mark
-            log[log.index(prev)] = msg
             return "upgraded", None
         return "dup", None
 
@@ -219,12 +232,7 @@ class MessageStore:
         """Start this store's live log of an instance, and count the store
         among those that hold the instance live."""
         self.by_instance[iid] = held
-        opened = self.opened.get(iid)
-        if opened is None:
-            self.opened[iid] = [1, held]
-        else:
-            opened[0] += 1
-            opened.append(held)
+        self.opened[iid] = self.opened.get(iid, 0) + 1
 
     def _swap_variant(self, key: tuple, prev: SignedMessage, msg: SignedMessage) -> None:
         """Put the upgrade msg among the slot's variants, and take prev out
@@ -237,37 +245,106 @@ class MessageStore:
             variants.append(msg)
         self.table[key] = variants[0] if len(variants) == 1 else variants
 
+    def _swap_logged(self, log: list, prev: SignedMessage, msg: SignedMessage) -> None:
+        """Put the upgrade msg in a retired instance's log, and take prev out
+        once no other store that retired the instance holds it.  A prev no
+        store holds any more also leaves the table, where it still is if
+        this store held it live and another store still holds the instance
+        live."""
+        others = log[0] & ~self.mark
+        if msg._held & others:
+            if not prev._held & others:
+                log.remove(prev)
+        elif prev._held & others:
+            log.append(msg)
+        else:
+            log[log.index(prev)] = msg
+        if not msg._held:
+            msg._slot = None
+        if not prev._held & ~self.mark:
+            self._unindex(prev)
+
+    def _unindex(self, m: SignedMessage) -> None:
+        """Take a message no store holds any more out of the table, if it
+        is there, and drop its slot key."""
+        key, m._slot = m._slot, None
+        entry = self.table.get(key)
+        if entry is m:
+            del self.table[key]
+        elif entry.__class__ is list and m in entry:
+            entry.remove(m)
+            if len(entry) == 1:
+                self.table[key] = entry[0]
+
     def retire(self, iid: InstanceId) -> None:
-        """Move an instance's messages out of the live index into its log.
-        The last store of the network to retire it deletes its table
-        entries and clears their cached slot keys, reading each key from
-        the message that caches it."""
+        """Move an instance's messages out of the live index into the
+        network's log of it, listing only those no store that retired it
+        before already holds."""
+        log = self.logs.get(iid)
+        if log is None:
+            log = self.logs[iid] = [0]
+        mask = log[0]
+        log[0] = mask | self.mark
         held = self.by_instance.pop(iid, None)
         if held is None:
-            self.retired[iid] = []
             return
-        self.retired[iid] = held
-        opened = self.opened[iid]
-        opened[0] -= 1
-        if opened[0]:
+        for m in held:
+            if not m._held & mask:
+                log.append(m)
+        self._close(iid, log)
+
+    def _close(self, iid: InstanceId, log: Optional[list]) -> None:
+        """Count this store out of an instance's live holders.  The last one
+        deletes the instance's table entries and clears their cached slot
+        keys, reading each key from the message in the log that caches it:
+        by then every message an entry lists is in the log."""
+        left = self.opened[iid] - 1
+        if left:
+            self.opened[iid] = left
             return
         del self.opened[iid]
+        if log is None:
+            return
         table = self.table
-        for log in opened[1:]:
-            for m in log:
-                key = m._slot
-                if key is not None:
-                    m._slot = None
-                    entry = table.pop(key, None)
-                    if entry.__class__ is list:
-                        for v in entry:
-                            v._slot = None
+        for m in islice(log, 1, None):
+            key = m._slot
+            if key is not None:
+                m._slot = None
+                entry = table.pop(key, None)
+                if entry.__class__ is list:
+                    for v in entry:
+                        v._slot = None
+                elif entry is not None:
+                    entry._slot = None
 
     def release(self) -> None:
-        """Retire every live instance of a store that is being dropped, so
-        its share of the table does not outlive it."""
-        for iid in list(self.by_instance):
-            self.retire(iid)
+        """Forget a store that is being dropped: count it out of its live
+        instances and take its mark off every message and log, so nothing
+        only it held outlives it in the table or in a log."""
+        mark = self.mark
+        for iid, held in self.by_instance.items():
+            for m in held:
+                m._held &= ~mark
+                if not m._held:
+                    self._unindex(m)
+            self._close(iid, self.logs.get(iid))
+        self.by_instance.clear()
+        for iid, log in list(self.logs.items()):
+            mask = log[0]
+            if not mask & mark:
+                continue
+            mask &= ~mark
+            kept = [mask]
+            for m in islice(log, 1, None):
+                m._held &= ~mark
+                if m._held & mask:
+                    kept.append(m)
+                elif not m._held:
+                    self._unindex(m)
+            if mask:
+                self.logs[iid] = kept
+            else:
+                del self.logs[iid]
 
     def instance_msgs(
         self,
@@ -633,12 +710,18 @@ class MultiContext:
         self.proposers = tuple(sorted(committee.members))
         self.slots: dict[int, BroadcastInstance] = {}
         self.bins: dict[int, BinaryInstance] = {}
+        # each id is one tuple object across the cores of the network, which
+        # every message of the instance then shares
+        iids = core.net.slot_index.iids
         for src in self.proposers:
             b_iid = (period, attempt, group, CHAN_BCAST, src)
             v_iid = (period, attempt, group, CHAN_BINARY, src)
+            b_iid = iids.setdefault(b_iid, b_iid)
+            v_iid = iids.setdefault(v_iid, v_iid)
             self.slots[src] = BroadcastInstance(core, committee, b_iid, src)
             self.bins[src] = BinaryInstance(core, committee, v_iid)
-        self.confirm_iid: InstanceId = (period, attempt, group, CHAN_CONFIRM, 0)
+        c_iid = (period, attempt, group, CHAN_CONFIRM, 0)
+        self.confirm_iid: InstanceId = iids.setdefault(c_iid, c_iid)
         self.delivered: dict[int, bytes] = {}
         self.bits: dict[int, int] = {}
         self.zero_filled = False

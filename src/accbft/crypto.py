@@ -72,7 +72,8 @@ class SignedMessage:
     live slot table the stores of a network share, and ``_held`` marks the
     stores that hold this very object (see consensus.MessageStore).  The
     last store of the network to retire the message's instance clears
-    ``_slot``, so a message no store indexes live keeps no key.
+    ``_slot``, and so does a store that logs a message no store holds: a
+    message kept for an instance no store holds live keeps no key.
     """
 
     kind: int
@@ -89,9 +90,10 @@ class SignedMessage:
 
     _sigok: Optional[bool] = field(default=None, repr=False, compare=False)
     _slot: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # bit i set while the store with mark 1 << i holds this very object, in
-    # its live log or a retired log; in the shared live table it is how that
-    # store tells its own variant of a slot from another store's
+    # bit i set while the store with mark 1 << i holds this very object, live
+    # or retired; in the shared live table and in an instance's shared log it
+    # is how that store tells its own variant of a slot from another store's,
+    # and how a log tells that it already lists the object for some store
     _held: int = field(default=0, repr=False, compare=False)
 
     def core_encoding(self) -> bytes:

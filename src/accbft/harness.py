@@ -33,7 +33,9 @@ from .analysis import (
 )
 from .committee import FaultProfile, _check_h, consensus_tolerated, threshold_tolerated
 from .scenarios import (
+    _MAX_PROCESSES,
     MAX_SEEDS,
+    SCHEMA,
     Scenario,
     ScenarioError,
     agreement_scenario,
@@ -56,6 +58,7 @@ EX_INVARIANT = 3
 EX_USAGE = 64
 
 OUTDIR_ENV = "ACCBFT_OUTDIR"
+MAX_CURVE = 10_000  # rows of an analyze --curve table
 
 CSV_SCHEMA = "accbft.v1"
 
@@ -265,7 +268,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         for seed in seeds:
             tasks.append((scn, seed, args.trace))
 
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        sys.stderr.write("output error:\n  - cannot create %s: %s\n" % (outdir, exc))
+        return EX_SCENARIO
     results = _run_batch(tasks)
 
     rows, lines, violated = [], [], False
@@ -737,7 +744,28 @@ def _int_range(text: str) -> range:
     lo, _, hi = text.partition("..")
     if int(hi) < int(lo):
         raise argparse.ArgumentTypeError("range %s is reversed" % text)
+    if int(hi) - int(lo) >= MAX_CURVE:
+        raise argparse.ArgumentTypeError(
+            "range %s has more than %d values" % (text, MAX_CURVE)
+        )
     return range(int(lo), int(hi) + 1)
+
+
+def _process_count(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= _MAX_PROCESSES:
+        raise argparse.ArgumentTypeError(
+            "must be an integer in [1, %d], got %d" % (_MAX_PROCESSES, value)
+        )
+    return value
+
+
+def _stem(text: str) -> str:
+    """An output file stem follows the scenario name rule, so it names a
+    file in the output directory and holds no path."""
+    if not SCHEMA["name"].fits(text):
+        raise argparse.ArgumentTypeError("%r %s" % (text, SCHEMA["name"].rule()))
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -757,7 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--outdir", default=None,
         help="output directory (default: $%s or .)" % OUTDIR_ENV,
     )
-    run.add_argument("--out", default=None, help="output file stem")
+    run.add_argument(
+        "--out", type=_stem, default=None, help="output file stem (a scenario name)"
+    )
     run.add_argument(
         "--trace", action="store_true", help="dump per-run JSON-lines event logs"
     )
@@ -782,7 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--rho", type=_fraction, default=Fraction(9, 10),
                          help="per-block attack success probability")
     analyze.add_argument("--w", type=int, default=0, help="finalization depth")
-    analyze.add_argument("--n", type=int, default=9)
+    analyze.add_argument("--n", type=_process_count, default=9,
+                         help="process count, at most %d" % _MAX_PROCESSES)
     analyze.add_argument("--h", type=int, default=None)
     analyze.add_argument("--dt", type=int, default=0,
                          help="deceitful+byzantine count")
@@ -791,7 +822,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="deceitful ratio (conservative branch bound)")
     analyze.add_argument("--h-ratio", type=_fraction, default=Fraction(2, 3))
     analyze.add_argument("--curve", type=_int_range, default=None,
-                         metavar="LO..HI", help="emit a table over branch counts")
+                         metavar="LO..HI",
+                         help="emit a table over at most %d branch counts" % MAX_CURVE)
     analyze.add_argument("--curve-table", action="store_true",
                          help="emit the branch-bound table for --n/--h")
     analyze.add_argument("--exact", action="store_true",

@@ -80,20 +80,26 @@ class NetConfig:
 
 
 class SlotIndex:
-    """The live slot table that the message stores of one network share
-    (see consensus.MessageStore).
+    """What the message stores of one network share (see
+    consensus.MessageStore): the live slot table and the retired logs.
 
     ``table`` maps a slot key to the one message object the stores hold for
     that slot, or to a list of the variants when they hold different objects
-    for it.  ``opened`` maps an instance id to a list: the number of stores
-    that hold the instance live, then each such store's instance log.
+    for it.  ``opened`` maps an instance id to the number of stores that
+    hold the instance live.  ``logs`` maps the id of an instance some store
+    has retired to ``[mask, msg, ...]``: ``mask`` ORs the marks of the
+    stores that retired it, and the messages are those that any of these
+    stores holds, each object once.  ``iids`` maps each agreement instance
+    id to itself, so the cores of the network share one tuple per id.
     """
 
-    __slots__ = ("table", "opened")
+    __slots__ = ("table", "opened", "logs", "iids")
 
     def __init__(self) -> None:
         self.table: dict[tuple, object] = {}
-        self.opened: dict[tuple, list] = {}
+        self.opened: dict[tuple, int] = {}
+        self.logs: dict[tuple, list] = {}
+        self.iids: dict[tuple, tuple] = {}
 
 
 class VirtualNet:
@@ -131,7 +137,7 @@ class VirtualNet:
         self.stats = NetStats()
         self.trace: Optional[list] = None
         self._stores = 0  # message stores given a mark so far
-        self.slot_index = SlotIndex()  # the live index those stores share
+        self.slot_index = SlotIndex()  # the index and logs those stores share
 
     # -- wiring ------------------------------------------------------------
 

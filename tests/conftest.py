@@ -76,6 +76,13 @@ def mini_world(n, seed=0, h0=None, alpha=None):
     return net, reg, cores
 
 
+def retired_view(store, iid):
+    """A store's part of the network's log of a retired instance: the
+    messages in the shared log that carry the store's mark, in log order."""
+    log = store.logs.get(iid, [0])
+    return [m for m in log[1:] if m._held & store.mark]
+
+
 def start_contexts(cores, values):
     """One agreement context per core; ``values`` maps pid -> proposal."""
     ctxs = {}

@@ -160,6 +160,35 @@ def test_frontier_frozen_sets(n, h, expected):
     assert frontier(n, h) == expected
 
 
+def cubic_frontier(n, h):
+    """The frontier by brute force: every (t, d, q), each checked against
+    its three +1 neighbours."""
+    out = set()
+    for t in range(n + 1):
+        for d in range(n - t + 1):
+            for q in range(n - t - d + 1):
+                p = FaultProfile(n=n, t=t, d=d, q=q)
+                if threshold_tolerated(p, h) != (True, True):
+                    continue
+                bigger = [(t + 1, d, q), (t, d + 1, q), (t, d, q + 1)]
+                extremal = True
+                for t2, d2, q2 in bigger:
+                    if t2 + d2 + q2 <= n and threshold_tolerated(
+                        FaultProfile(n=n, t=t2, d=d2, q=q2), h
+                    ) == (True, True):
+                        extremal = False
+                        break
+                if extremal:
+                    out.add((t, d, q))
+    return out
+
+
+def test_frontier_equals_the_brute_force_search():
+    for n in range(1, 31):
+        for h in range(n // 2 + 1, n + 1):
+            assert frontier(n, h) == cubic_frontier(n, h), (n, h)
+
+
 def test_frontier_members_are_extremal():
     n, h = 9, 6
     for t, d, q in frontier(n, h):

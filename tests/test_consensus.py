@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accbft.consensus import (
@@ -27,7 +27,7 @@ from accbft.crypto import (
 )
 from accbft.scenarios import clean_scenario, run_scenario
 from accbft.simnet import SlotIndex
-from conftest import fraud_proof, mini_world, start_contexts
+from conftest import fraud_proof, mini_world, retired_view, start_contexts
 
 INST = (0, 0, GROUP_MAIN, CHAN_BCAST, 1)
 
@@ -168,7 +168,7 @@ def test_entries_are_freed_when_the_last_store_that_opened_the_instance_retires_
     z = make_message(registry, 3, Kind.ECHO, other, 1, 1, b"z")
     for store, m in ((a, v), (a, y), (b, w), (c, z)):
         assert store.admit(registry, m)[0] == "new"
-    assert index.opened[INST][0] == 2
+    assert index.opened[INST] == 2
     for store in (a, c):  # c never opened the instance
         store.retire(INST)
         assert len(index.table) == 3 and all(m._slot for m in (v, w, y))
@@ -178,7 +178,8 @@ def test_entries_are_freed_when_the_last_store_that_opened_the_instance_retires_
     assert list(index.table) == [z.slot()] and list(index.opened) == [other]
     assert v._slot is None and w._slot is None and y._slot is None
     assert z._slot is not None
-    assert a.retired[INST] == [v, y] and b.retired[INST] == [w] and c.retired[INST] == []
+    assert retired_view(a, INST) == [v, y] and retired_view(b, INST) == [w]
+    assert retired_view(c, INST) == [] and index.logs[INST] == [1 | 2 | 4, v, y, w]
 
 
 def test_a_late_equivocation_after_a_partial_retirement(registry):
@@ -196,13 +197,129 @@ def test_a_late_equivocation_after_a_partial_retirement(registry):
         statuses.append(status)
         assert pof.encoding() == want
     assert statuses == ["conflict", "conflict"]
-    assert a.retired[INST] == [v] and b.instance_msgs(INST) == [v]
+    assert retired_view(a, INST) == [v] and b.instance_msgs(INST) == [v]
     # a new slot of the retired instance joins the log, not the shared table
     y = make_message(registry, 3, Kind.ECHO, INST, 1, 1, b"v")
     assert a.admit(registry, y) == ("new", None)
-    assert a.retired[INST] == [v, y] and INST not in a.by_instance
-    assert list(index.table) == [v.slot()] and index.opened[INST][0] == 1
+    assert retired_view(a, INST) == [v, y] and INST not in a.by_instance
+    assert list(index.table) == [v.slot()] and index.opened[INST] == 1
     assert y._slot is None and b.admit(registry, y) == ("new", None)
+
+
+OTHER = (0, 0, GROUP_MAIN, CHAN_BCAST, 2)
+LOG_SLOTS = [(iid, signer) for iid in (INST, OTHER) for signer in (2, 3)]
+# a step offers one object to several stores, as a frame reaches several
+# cores, or retires one instance in several stores
+STORES = st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True)
+STEPS = st.lists(
+    st.one_of(
+        # slot, variant (fresh, equivocating, certified, stripped), stores
+        st.tuples(st.just("admit"), st.integers(0, 3), st.integers(0, 3), STORES),
+        st.tuples(st.just("retire"), st.sampled_from((INST, OTHER)), STORES),
+        st.tuples(st.just("release"), st.integers(0, 2)),
+    ),
+    max_size=30,
+)
+
+
+def _slot_variants(registry):
+    """Per slot: a fresh message, an equivocating one, a certified copy of
+    the fresh one and that copy's stripped twin, each one object that every
+    store is offered."""
+    pool = {}
+    for iid, signer in LOG_SLOTS:
+        fresh = make_message(registry, signer, Kind.ECHO, iid, 1, 1, b"v")
+        other = make_message(registry, signer, Kind.ECHO, iid, 1, 1, b"w")
+        inner = make_message(registry, 4, Kind.ECHO, iid, 1, 1, b"v")
+        carrying = make_message(registry, signer, Kind.ECHO, iid, 1, 1, b"v", (inner,))
+        pool[iid, signer] = (fresh, other, carrying, carrying.stripped())
+    return pool
+
+
+def _private_admit(registry, held, slot, msg):
+    """The reference: a store that keeps its own {slot: message}."""
+    prev = held.get(slot)
+    if prev is None:
+        held[slot] = msg
+        return "new", None
+    if prev.payload != msg.payload:
+        return "conflict", derive_pof(registry, prev, msg)
+    if msg.certificate and not prev.certificate:
+        held[slot] = msg
+        return "upgraded", None
+    return "dup", None
+
+
+def _check_shared_logs(index, stores, private, dropped, pool):
+    everything = [m for variants in pool.values() for m in variants]
+    for i, store in enumerate(stores):
+        if i in dropped:
+            assert not any(m._held & store.mark for m in everything)
+            continue
+        for (iid, signer), variants in pool.items():
+            # at most one variant per slot, and the one a private store holds
+            want = private[i].get((iid, signer))
+            assert [m for m in variants if m._held & store.mark] == ([want] if want else [])
+            live = None if index.logs.get(iid, [0])[0] & store.mark else want
+            assert store.first(Kind.ECHO, iid, 1, 1, signer) is live
+    for iid, log in index.logs.items():
+        mask, listed = log[0], log[1:]
+        assert mask and len(listed) == len(set(map(id, listed)))
+        # every entry is held by a store that retired the instance, and
+        # every message such a store holds is listed
+        assert all(m._held & mask for m in listed)
+        assert {id(m) for m in everything if m.instance == iid and m._held & mask} == set(
+            map(id, listed)
+        )
+    for iid in (INST, OTHER):
+        holders = sum(iid in s.by_instance for i, s in enumerate(stores) if i not in dropped)
+        assert index.opened.get(iid, 0) == holders
+        if not holders:  # a message some store keeps for it keeps no slot key
+            assert all(m._slot is None for m in everything if m.instance == iid and m._held)
+    for key, entry in index.table.items():
+        assert key[1] in index.opened
+        assert all(v._held for v in (entry if entry.__class__ is list else [entry]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(STEPS)
+# a conflict in a live store caches the certified copy's slot key; once no
+# store holds the instance live, a store that retired it logs that copy
+@example(
+    [
+        ("admit", 2, 1, [0]),
+        ("admit", 2, 2, [0]),
+        ("release", 0),
+        ("retire", OTHER, [2]),
+        ("admit", 2, 2, [2]),
+    ]
+)
+def test_shared_logs_admit_as_private_stores_would(registry, steps):
+    index, stores = _sharing(1, 2, 4)
+    pool = _slot_variants(registry)
+    private = [{} for _ in stores]
+    dropped = set()
+    for step in steps:
+        if step[0] == "admit":
+            slot = LOG_SLOTS[step[1]]
+            msg = pool[slot][step[2]]
+            for who in step[3]:
+                if who in dropped:
+                    continue
+                want_status, want_pof = _private_admit(registry, private[who], slot, msg)
+                status, pof = stores[who].admit(registry, msg)
+                assert status == want_status
+                assert (pof and pof.encoding()) == (want_pof and want_pof.encoding())
+                _check_shared_logs(index, stores, private, dropped, pool)
+        elif step[0] == "retire":
+            for who in step[2]:
+                if who not in dropped:
+                    stores[who].retire(step[1])
+                    _check_shared_logs(index, stores, private, dropped, pool)
+        elif step[1] not in dropped:
+            stores[step[1]].release()
+            dropped.add(step[1])
+            _check_shared_logs(index, stores, private, dropped, pool)
 
 
 @pytest.mark.parametrize(

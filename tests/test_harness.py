@@ -163,6 +163,11 @@ def test_analyze_rejects_bad_requests(capsys):
         # a plain 401-digit deposit factor is a ratio, but its flux is no float
         (("flux", "--a", "3", "--w", "28", "--b", "1" + "0" * 400), EX_SCENARIO, "error:"),
         (("flux", "--a", "3", "--b", "1/0"), EX_USAGE, "divides by zero"),
+        # the frontier and the curves are bounded, so no request runs for ever
+        (("frontier", "--n", "1001"), EX_USAGE, "must be an integer in [1, 1000]"),
+        (("branches", "--n", "0"), EX_USAGE, "must be an integer in [1, 1000]"),
+        (("blockdepth", "--curve", "2..100000000"), EX_USAGE, "more than 10000 values"),
+        (("blockdepth", "--curve", "2..10002"), EX_USAGE, "more than 10000 values"),
     ],
 )
 def test_analyze_rejects_out_of_domain_input(capsys, argv, code, diagnostic):
@@ -199,6 +204,29 @@ def test_run_writes_csv_and_jsonl(capsys, tmp_path):
     jsonl = (tmp_path / "mini.jsonl").read_text().splitlines()
     assert len(jsonl) == 2
     assert json.loads(jsonl[0])["seed"] == 1
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "diagnostic"),
+    [
+        # an output directory that is a file cannot be created
+        (("--outdir", "taken"), EX_SCENARIO, "output error:"),
+        # the stem names a file, not a path
+        (("--out", "nosuchdir/x"), EX_USAGE, "--out: 'nosuchdir/x' must match"),
+        (("--out", "../up"), EX_USAGE, "--out: '../up' must match"),
+    ],
+)
+def test_run_rejects_unusable_output_paths(capsys, tmp_path, monkeypatch, argv, code, diagnostic):
+    (tmp_path / "taken").write_text("")
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    monkeypatch.setattr(harness, "_run_batch", lambda tasks: ran.append(tasks) or [])
+    path = write_scenario(tmp_path, clean_scenario(4))
+    got, out, err = run_cli(capsys, "run", "--scenario", path, "--seeds", "1", *argv)
+    assert (got, out) == (code, "")
+    assert diagnostic in err and "Traceback" not in err
+    # rejected before any seed runs, and nothing written
+    assert ran == [] and sorted(p.name for p in tmp_path.iterdir()) == ["scn.json", "taken"]
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from accbft.scenarios import (
     load_scenario,
     run_scenario,
 )
-from conftest import mini_world, start_contexts
+from conftest import mini_world, retired_view, start_contexts
 
 STOCK = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -61,8 +61,9 @@ def _retired_core():
 
 
 def _keyless(store):
-    """Whether no message in the store's retired logs caches a slot key."""
-    return all(m._slot is None for log in store.retired.values() for m in log)
+    """Whether no message in the store's part of the retired logs caches a
+    slot key."""
+    return all(m._slot is None for iid in store.logs for m in retired_view(store, iid))
 
 
 def test_a_delivered_slot_that_never_echoed_keeps_its_context():
@@ -104,7 +105,7 @@ def test_a_pending_confirmation_keeps_its_context():
 def test_a_late_equivocation_on_a_retired_slot_is_convicted():
     reg, core, _ = _retired_core()
     iid = (0, 0, GROUP_MAIN, CHAN_BCAST, 3)
-    first = next(m for m in core.store.retired[iid] if m.kind == Kind.ECHO and m.signer == 2)
+    first = next(m for m in retired_view(core.store, iid) if m.kind == Kind.ECHO and m.signer == 2)
     second = make_message(reg, 2, Kind.ECHO, iid, 1, 1, b"not " + first.payload)
     status, pof = core.store.admit(reg, second)
     assert status == "conflict"
@@ -122,16 +123,16 @@ def test_a_late_equivocation_on_a_retired_slot_is_convicted():
 def test_a_certified_duplicate_upgrades_the_retired_copy():
     reg, core, _ = _retired_core()
     iid = (0, 0, GROUP_MAIN, CHAN_BCAST, 3)
-    log = core.store.retired[iid]
-    i, bare = next(
-        (i, m) for i, m in enumerate(log) if m.kind == Kind.ECHO and not m.certificate
-    )
+    log = retired_view(core.store, iid)
+    bare = next(m for m in log if m.kind == Kind.ECHO and not m.certificate)
     inner = make_message(reg, 4, Kind.ECHO, iid, 1, 1, bare.payload)
     carrying = make_message(
         reg, bare.signer, bare.kind, iid, bare.round, bare.phase, bare.payload, (inner,)
     )
     assert core.store.admit(reg, carrying) == ("upgraded", None)
-    assert log[i] is carrying and len(log) == len(set(map(id, log)))
+    upgraded = retired_view(core.store, iid)
+    assert upgraded.count(carrying) == 1 and bare not in upgraded
+    assert len(upgraded) == len(log) == len(set(map(id, upgraded)))
     mark = core.store.mark
     assert carrying._held & mark and not bare._held & mark
     assert core.store.admit(reg, bare) == ("dup", None)
@@ -148,7 +149,7 @@ def test_a_new_message_for_a_retired_instance_is_stored_but_not_acted_on(monkeyp
     late = make_message(reg, 3, Kind.BVECHO, iid, 5, 1, b"\x00")
     admitted = core.metrics.admitted
     core.deliver_frame(3, late)
-    assert core.store.retired[iid][-1] is late and late._held & core.store.mark
+    assert retired_view(core.store, iid)[-1] is late and late._held & core.store.mark
     assert core.metrics.admitted == admitted + 1
     assert core.store.slots == {} and calls == []
     assert core.store.admit(reg, late) == ("dup", None)
@@ -178,12 +179,26 @@ def test_messages_of_instances_no_store_holds_live_keep_no_slot_key():
     stores = [proc.core.store for proc in world.procs.values()]
     live = {iid for store in stores for iid in store.by_instance}
     held = [m for store in stores for log in store.by_instance.values() for m in log]
-    retired = [m for store in stores for log in store.retired.values() for m in log]
+    logs = world.net.slot_index.logs
+    retired = [m for store in stores for iid in logs for m in retired_view(store, iid)]
     assert len(retired) > 10 * len(set(map(id, held)))
     assert all(m._slot is None for m in retired if m.instance not in live)
     # the shared table indexes exactly the slots some store holds live
     assert set(world.net.slot_index.table) == {m.slot() for m in held}
     assert set(world.net.slot_index.opened) == live
+    # the network keeps one log per retired instance, each message in it once
+    assert sum(len(log) - 1 for log in logs.values()) == len(set(map(id, retired)))
+    # and one tuple per instance id, shared by every core's contexts and by
+    # the messages of those instances
+    tuples = {}
+    for proc in world.procs.values():
+        for ctx in proc.core.contexts.values():
+            for iid, _ in ctx.routed():
+                tuples.setdefault(iid, set()).add(id(iid))
+    assert tuples and all(len(ids) == 1 for ids in tuples.values())
+    iids = world.net.slot_index.iids
+    assert set(tuples) <= set(iids) and all(iids[iid] is iid for iid in tuples)
+    assert all(m.instance is iids[m.instance] for m in retired + held if m.instance in iids)
 
 
 def _accused_runs():
