@@ -16,6 +16,14 @@ from .committee import FaultProfile, threshold_tolerated
 
 Ratio = Union[int, float, str, Fraction]
 
+# Deepest finalization depth evaluated: the flux takes rho to the power w+1
+# exactly, so its numerator has about w times as many digits as rho's.
+MAX_BLOCKDEPTH = 10_000
+
+
+class DepthLimitError(ValueError):
+    """A finalization depth beyond MAX_BLOCKDEPTH was asked for or needed."""
+
 
 def as_fraction(x: Ratio) -> Fraction:
     if isinstance(x, float):
@@ -38,6 +46,10 @@ class ZeroLossParams:
             and self.blockdepth >= 0
         ):
             raise ValueError("flux needs a >= 1, b >= 0, 0 <= rho < 1 and w >= 0")
+        if self.blockdepth > MAX_BLOCKDEPTH:
+            raise DepthLimitError(
+                "blockdepth %d exceeds %d" % (self.blockdepth, MAX_BLOCKDEPTH)
+            )
 
 
 def max_branches(n: int, h: int, dt: int) -> int:
@@ -91,6 +103,8 @@ def min_blockdepth(branches: int, deposit_factor: Ratio, attack_success: Ratio) 
 
     Seeded from the closed form w >= log(b / (a-1+b)) / log(rho) - 1, then
     settled by exact integer search so float logs can never shift the answer.
+    A seed beyond MAX_BLOCKDEPTH raises DepthLimitError before any exact
+    power is built.
     """
     if branches < 2:
         raise ValueError("blockdepth needs at least 2 branches")
@@ -101,7 +115,14 @@ def min_blockdepth(branches: int, deposit_factor: Ratio, attack_success: Ratio) 
     if not 0 < rho < 1:
         raise ValueError("no finite blockdepth")
     c = b / (branches - 1 + b)
-    w = max(0, math.floor(math.log(float(c)) / math.log(float(rho)) - 1) - 2)
+    log_rho = math.log(float(rho))  # 0.0 once rho rounds to 1
+    seed = math.log(float(c)) / log_rho - 1 if log_rho else math.inf
+    if seed > MAX_BLOCKDEPTH:
+        raise DepthLimitError(
+            "blockdepth for a=%d, b=%s, rho=%s exceeds %d"
+            % (branches, b, rho, MAX_BLOCKDEPTH)
+        )
+    w = max(0, math.floor(seed) - 2)
 
     def flux(w_: int) -> Fraction:
         return deposit_flux(ZeroLossParams(branches, b, rho, w_))

@@ -11,8 +11,8 @@ instance id to (context, instance): every message belongs to exactly one
 broadcast slot, binary vote or confirmation echo, and context keys are unique
 per core, so the tally, the dispatch, the timers and the instance callbacks
 each take one lookup.  At each new main height the core forgets the contexts
-no input can change any more; the store keeps their messages, so they can
-still convict a signer.  Set-exchange bundles, certificate cross-checks, and
+no input can change any more; the store keeps those of their messages that
+can still convict a signer.  Set-exchange bundles, certificate cross-checks, and
 exclusion recounts all read from that one store, which is what makes
 accountability automatic: any certificate that crosses a partition is taken
 apart and checked against what we stored locally.
@@ -33,6 +33,7 @@ from .crypto import (
     CHAN_BCAST,
     CHAN_BINARY,
     CHAN_CONFIRM,
+    CONFLICT_ELIGIBLE,
     GLOBAL_INSTANCE,
     GROUP_MAIN,
     InstanceId,
@@ -97,14 +98,21 @@ class MessageStore:
 
     ``retire(iid)`` takes an instance whose state machine can no longer act
     out of ``by_instance`` and into the network's one log of it
-    (``SlotIndex.logs``), which the stores that retired the instance share:
-    it lists each message any of them holds once, and a store's part of it
-    is the messages that carry the store's mark.  Admission still finds a
-    conflict, a duplicate or an upgrade in that part by scanning the log,
-    so a late equivocation yields the same proof of fraud as before.  A new
-    message for a retired instance joins the log, never the table.  The
-    index counts the stores that hold each instance live; the last of them
-    to retire it walks the log to delete the instance's table entries and
+    (``SlotIndex.logs``), which the stores that retired the instance share.
+    A retired instance keeps only what can convict: every message that could
+    be half of a proof of fraud (a ``crypto.CONFLICT_ELIGIBLE`` kind).  The
+    log lists each such message any of these stores holds once, and a
+    store's part of it is the messages that carry the store's mark.  A READY
+    or a DECISION is dropped at retirement: the store clears its mark on
+    it, and it leaves the table once no store holds it.  Admission still
+    finds a conflict, a duplicate or an upgrade in the store's part by
+    scanning the log, so a late equivocation yields the same proof of fraud
+    as before.  A new conflict-eligible message for a retired instance joins
+    the log, never the table.  A late READY or DECISION is reported "new"
+    and kept nowhere, so the caller walks its certificate as on first
+    sight, and an equivocating inner still convicts its signer.  The index
+    counts the stores that hold each instance live; the last of them to
+    retire it walks the log to delete the instance's table entries and
     clear the slot keys its messages cache (``SignedMessage.slot()``), so a
     retired message keeps no key, and no key is built again to delete it.
     """
@@ -198,6 +206,10 @@ class MessageStore:
             # no slot key is built for it again, and only this store's
             # variant counts
             kind, round, phase, signer = msg.kind, msg.round, msg.phase, msg.signer
+            if kind not in CONFLICT_ELIGIBLE:
+                # it can convict no one, so it is not kept; "new" has the
+                # caller walk its certificate, whose inners still can
+                return "new", None
             for prev in islice(log, 1, None):
                 if (
                     prev.signer == signer
@@ -279,17 +291,24 @@ class MessageStore:
     def retire(self, iid: InstanceId) -> None:
         """Move an instance's messages out of the live index into the
         network's log of it, listing only those no store that retired it
-        before already holds."""
+        before already holds.  A message of a kind that can be no half of a
+        proof of fraud is dropped instead: the store lets go of it, and a
+        message no store holds any more leaves the table."""
         log = self.logs.get(iid)
         if log is None:
             log = self.logs[iid] = [0]
+        mark = self.mark
         mask = log[0]
-        log[0] = mask | self.mark
+        log[0] = mask | mark
         held = self.by_instance.pop(iid, None)
         if held is None:
             return
         for m in held:
-            if not m._held & mask:
+            if m.kind not in CONFLICT_ELIGIBLE:
+                m._held &= ~mark
+                if not m._held:
+                    self._unindex(m)
+            elif not m._held & mask:
                 log.append(m)
         self._close(iid, log)
 
@@ -297,7 +316,8 @@ class MessageStore:
         """Count this store out of an instance's live holders.  The last one
         deletes the instance's table entries and clears their cached slot
         keys, reading each key from the message in the log that caches it:
-        by then every message an entry lists is in the log."""
+        by then every message an entry lists is in the log, since a READY or
+        DECISION left the table when the last store let go of it."""
         left = self.opened[iid] - 1
         if left:
             self.opened[iid] = left
@@ -499,8 +519,8 @@ class NodeCore:
     def retire_inert(self) -> None:
         """Forget every context that no input can change any more (see
         MultiContext.inert) and retire its instance ids in the store.  A
-        message for a retired id is still stored, so it can convict its
-        signer, but nothing tallies or dispatches it: that is all the
+        message for a retired id that can convict its signer is still
+        stored, but nothing tallies or dispatches it: that is all the
         context would have done with it."""
         for key, ctx in list(self.contexts.items()):
             if ctx.inert():
@@ -809,7 +829,9 @@ class MultiContext:
         ones = [src for src, b in self.vector if b == 1]
         if any(src not in self.delivered for src in ones):
             return
-        self.decision = encode_value_set(self.delivered[src] for src in ones)
+        decision = encode_value_set(self.delivered[src] for src in ones)
+        # one object per decided value across the cores of the network
+        self.decision = self.core.net.slot_index.values.setdefault(decision, decision)
         if ones:
             self.decision_cert = self.bins[ones[0]].decision_cert
         self.decided_at = self.core.now()

@@ -19,6 +19,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .analysis import (
+    MAX_BLOCKDEPTH,
+    DepthLimitError,
     ZeroLossParams,
     alpha_confirm_threshold,
     as_fraction,
@@ -691,6 +693,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             _print_table(frontier_rows(args.n, h))
         elif args.table == "reference":
             _print_table(blockdepth_reference_rows())
+    except DepthLimitError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return EX_USAGE
     except (ValueError, OverflowError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EX_SCENARIO
@@ -811,7 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="deposit factor")
     analyze.add_argument("--rho", type=_fraction, default=Fraction(9, 10),
                          help="per-block attack success probability")
-    analyze.add_argument("--w", type=int, default=0, help="finalization depth")
+    analyze.add_argument("--w", type=int, default=0,
+                         help="finalization depth, at most %d" % MAX_BLOCKDEPTH)
     analyze.add_argument("--n", type=_process_count, default=9,
                          help="process count, at most %d" % _MAX_PROCESSES)
     analyze.add_argument("--h", type=int, default=None)

@@ -88,18 +88,22 @@ class SlotIndex:
     for it.  ``opened`` maps an instance id to the number of stores that
     hold the instance live.  ``logs`` maps the id of an instance some store
     has retired to ``[mask, msg, ...]``: ``mask`` ORs the marks of the
-    stores that retired it, and the messages are those that any of these
-    stores holds, each object once.  ``iids`` maps each agreement instance
-    id to itself, so the cores of the network share one tuple per id.
+    stores that retired it, and the messages are those of a kind that can
+    be half of a proof of fraud (``crypto.CONFLICT_ELIGIBLE``) that any of
+    these stores holds, each object once.  ``iids`` maps each agreement
+    instance id to itself, so the cores of the network share one tuple per
+    id, and ``values`` maps each decided value to itself, so the cores that
+    decide one value share one bytes object for it.
     """
 
-    __slots__ = ("table", "opened", "logs", "iids")
+    __slots__ = ("table", "opened", "logs", "iids", "values")
 
     def __init__(self) -> None:
         self.table: dict[tuple, object] = {}
         self.opened: dict[tuple, int] = {}
         self.logs: dict[tuple, list] = {}
         self.iids: dict[tuple, tuple] = {}
+        self.values: dict[bytes, bytes] = {}
 
 
 class VirtualNet:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from accbft.analysis import (
     BLOCKDEPTH_REFERENCE,
+    MAX_BLOCKDEPTH,
+    DepthLimitError,
     ZeroLossParams,
     alpha_confirm_threshold,
     as_fraction,
@@ -112,6 +114,19 @@ def test_zero_loss_params_are_checked():
         ZeroLossParams(3, "-0.1", "0.9", 1)
     with pytest.raises(ValueError, match="flux needs"):
         ZeroLossParams(3, "0.1", "0.9", -1)
+    with pytest.raises(DepthLimitError, match="exceeds"):
+        ZeroLossParams(3, "0.1", "0.9", MAX_BLOCKDEPTH + 1)
+    assert ZeroLossParams(3, "0.1", "0.9", MAX_BLOCKDEPTH).blockdepth == MAX_BLOCKDEPTH
+
+
+def test_min_blockdepth_refuses_a_seed_beyond_the_cap():
+    # w grows like log(c) / log(rho): about 32,000 at rho = 0.9999
+    with pytest.raises(DepthLimitError, match="exceeds"):
+        min_blockdepth(3, "0.1", "0.9999")
+    # a rho whose float rounds to 1 has no finite float seed
+    with pytest.raises(DepthLimitError, match="exceeds"):
+        min_blockdepth(3, "0.1", Fraction(10**30 - 1, 10**30))
+    assert min_blockdepth(3, "0.1", "0.999") == 3042
 
 
 @pytest.mark.parametrize(

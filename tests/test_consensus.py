@@ -16,6 +16,7 @@ from accbft.consensus import (
 )
 from accbft.crypto import (
     CHAN_BCAST,
+    CONFLICT_ELIGIBLE,
     GLOBAL_INSTANCE,
     GROUP_MAIN,
     KeyRegistry,
@@ -207,14 +208,19 @@ def test_a_late_equivocation_after_a_partial_retirement(registry):
 
 
 OTHER = (0, 0, GROUP_MAIN, CHAN_BCAST, 2)
-LOG_SLOTS = [(iid, signer) for iid in (INST, OTHER) for signer in (2, 3)]
+# (kind, instance, round, phase, signer): four ECHO slots, then a READY slot,
+# which retirement drops
+LOG_SLOTS = [(Kind.ECHO, iid, 1, 1, signer) for iid in (INST, OTHER) for signer in (2, 3)]
+LOG_SLOTS.append((Kind.READY, INST, 1, 2, 3))
 # a step offers one object to several stores, as a frame reaches several
 # cores, or retires one instance in several stores
 STORES = st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True)
 STEPS = st.lists(
     st.one_of(
         # slot, variant (fresh, equivocating, certified, stripped), stores
-        st.tuples(st.just("admit"), st.integers(0, 3), st.integers(0, 3), STORES),
+        st.tuples(
+            st.just("admit"), st.integers(0, len(LOG_SLOTS) - 1), st.integers(0, 3), STORES
+        ),
         st.tuples(st.just("retire"), st.sampled_from((INST, OTHER)), STORES),
         st.tuples(st.just("release"), st.integers(0, 2)),
     ),
@@ -227,17 +233,21 @@ def _slot_variants(registry):
     the fresh one and that copy's stripped twin, each one object that every
     store is offered."""
     pool = {}
-    for iid, signer in LOG_SLOTS:
-        fresh = make_message(registry, signer, Kind.ECHO, iid, 1, 1, b"v")
-        other = make_message(registry, signer, Kind.ECHO, iid, 1, 1, b"w")
+    for slot in LOG_SLOTS:
+        kind, iid, round, phase, signer = slot
+        fresh = make_message(registry, signer, kind, iid, round, phase, b"v")
+        other = make_message(registry, signer, kind, iid, round, phase, b"w")
         inner = make_message(registry, 4, Kind.ECHO, iid, 1, 1, b"v")
-        carrying = make_message(registry, signer, Kind.ECHO, iid, 1, 1, b"v", (inner,))
-        pool[iid, signer] = (fresh, other, carrying, carrying.stripped())
+        carrying = make_message(registry, signer, kind, iid, round, phase, b"v", (inner,))
+        pool[slot] = (fresh, other, carrying, carrying.stripped())
     return pool
 
 
-def _private_admit(registry, held, slot, msg):
-    """The reference: a store that keeps its own {slot: message}."""
+def _private_admit(registry, held, retired, slot, msg):
+    """The reference: a store that keeps its own {slot: message}, and keeps
+    nothing of a kind that cannot convict for an instance it retired."""
+    if slot[1] in retired and slot[0] not in CONFLICT_ELIGIBLE:
+        return "new", None
     prev = held.get(slot)
     if prev is None:
         held[slot] = msg
@@ -256,15 +266,16 @@ def _check_shared_logs(index, stores, private, dropped, pool):
         if i in dropped:
             assert not any(m._held & store.mark for m in everything)
             continue
-        for (iid, signer), variants in pool.items():
+        for slot, variants in pool.items():
             # at most one variant per slot, and the one a private store holds
-            want = private[i].get((iid, signer))
+            want = private[i].get(slot)
             assert [m for m in variants if m._held & store.mark] == ([want] if want else [])
-            live = None if index.logs.get(iid, [0])[0] & store.mark else want
-            assert store.first(Kind.ECHO, iid, 1, 1, signer) is live
+            live = None if index.logs.get(slot[1], [0])[0] & store.mark else want
+            assert store.first(*slot) is live
     for iid, log in index.logs.items():
         mask, listed = log[0], log[1:]
         assert mask and len(listed) == len(set(map(id, listed)))
+        assert all(m.kind in CONFLICT_ELIGIBLE for m in listed)
         # every entry is held by a store that retired the instance, and
         # every message such a store holds is listed
         assert all(m._held & mask for m in listed)
@@ -294,10 +305,22 @@ def _check_shared_logs(index, stores, private, dropped, pool):
         ("admit", 2, 2, [2]),
     ]
 )
+# a READY two stores hold stays indexed until the second retires it, and a
+# late copy of it is new to the first, and kept nowhere
+@example(
+    [
+        ("admit", 4, 0, [0, 1]),
+        ("retire", INST, [0]),
+        ("admit", 4, 2, [0, 1]),
+        ("retire", INST, [1]),
+        ("admit", 4, 0, [0, 1, 2]),
+    ]
+)
 def test_shared_logs_admit_as_private_stores_would(registry, steps):
     index, stores = _sharing(1, 2, 4)
     pool = _slot_variants(registry)
     private = [{} for _ in stores]
+    retired = [set() for _ in stores]
     dropped = set()
     for step in steps:
         if step[0] == "admit":
@@ -306,7 +329,9 @@ def test_shared_logs_admit_as_private_stores_would(registry, steps):
             for who in step[3]:
                 if who in dropped:
                     continue
-                want_status, want_pof = _private_admit(registry, private[who], slot, msg)
+                want_status, want_pof = _private_admit(
+                    registry, private[who], retired[who], slot, msg
+                )
                 status, pof = stores[who].admit(registry, msg)
                 assert status == want_status
                 assert (pof and pof.encoding()) == (want_pof and want_pof.encoding())
@@ -315,6 +340,11 @@ def test_shared_logs_admit_as_private_stores_would(registry, steps):
             for who in step[2]:
                 if who not in dropped:
                     stores[who].retire(step[1])
+                    # the store forgets the slots that cannot convict
+                    retired[who].add(step[1])
+                    for slot in [s for s in private[who] if s[1] == step[1]]:
+                        if slot[0] not in CONFLICT_ELIGIBLE:
+                            del private[who][slot]
                     _check_shared_logs(index, stores, private, dropped, pool)
         elif step[1] not in dropped:
             stores[step[1]].release()

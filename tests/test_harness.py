@@ -112,6 +112,9 @@ def test_pick_profile_is_deterministic_and_tolerated():
         (("analyze", "confirm", "--n", "9", "--h", "6", "--alpha", "4/9"), "8"),
         (("analyze", "confirm", "--alpha", "2/3"), "9"),
         (("analyze", "flux", "--a", "3", "--w", "28", "--exact"), EXACT_FLUX),
+        # the deepest depths the cap lets through
+        (("analyze", "blockdepth", "--a", "3", "--rho", "0.999"), "3042"),
+        (("analyze", "flux", "--a", "3", "--w", "10000"), "0.1"),
     ],
 )
 def test_analyze_prints_single_values(capsys, argv, want):
@@ -168,6 +171,15 @@ def test_analyze_rejects_bad_requests(capsys):
         (("branches", "--n", "0"), EX_USAGE, "must be an integer in [1, 1000]"),
         (("blockdepth", "--curve", "2..100000000"), EX_USAGE, "more than 10000 values"),
         (("blockdepth", "--curve", "2..10002"), EX_USAGE, "more than 10000 values"),
+        # and so is the finalization depth: an exact power of rho that deep
+        # has millions of digits
+        (("blockdepth", "--a", "3", "--rho", "0.999999"), EX_USAGE, "exceeds 10000"),
+        (("blockdepth", "--a", "3", "--rho", "0.9999"), EX_USAGE, "exceeds 10000"),
+        (("blockdepth", "--curve", "2..3", "--rho", "0.999999"), EX_USAGE, "exceeds 10000"),
+        # a rho whose float is 1.0 has no float log to seed the search with
+        (("blockdepth", "--a", "3", "--rho", "0." + "9" * 30), EX_USAGE, "exceeds 10000"),
+        (("flux", "--a", "3", "--w", "100000000"), EX_USAGE, "blockdepth 100000000 exceeds"),
+        (("flux", "--a", "3", "--w", "10001"), EX_USAGE, "blockdepth 10001 exceeds"),
     ],
 )
 def test_analyze_rejects_out_of_domain_input(capsys, argv, code, diagnostic):

@@ -152,9 +152,9 @@ def _mutable_parts(chain):
     return ids
 
 
-def test_a_joiner_shares_no_block_record_with_another_process():
-    # every standby joins on one inviter's snapshot; a block record shared
-    # with it would show that inviter's later confirmations in every chain
+@pytest.fixture(scope="module")
+def ledger_fork_world():
+    """A short ledger fork: six heights, five standbys that all join."""
     scn = replace(
         fork_scenario("binary-fork", payload="ledger"),
         heights=6,
@@ -163,10 +163,28 @@ def test_a_joiner_shares_no_block_record_with_another_process():
         deposit={"gain_cap": 1600, "factor": "0.1", "blockdepth": 28},
         alpha="4/9",
     )
-    world = run_scenario(scn, 1).world
+    return run_scenario(scn, 1).world
+
+
+def test_a_joiner_shares_no_block_record_with_another_process(ledger_fork_world):
+    # every standby joins on one inviter's snapshot; a block record shared
+    # with it would show that inviter's later confirmations in every chain
+    world = ledger_fork_world
     joiners = [pid for pid in world.roles.pool if world.procs[pid].chain]
     assert len(joiners) == 5
     parts = {pid: _mutable_parts(proc.chain) for pid, proc in world.procs.items()}
     for pid in joiners:
         for other, ids in parts.items():
             assert other == pid or not parts[pid] & ids, (pid, other)
+
+
+def test_processes_that_agree_hold_one_object_for_the_block(ledger_fork_world):
+    # each decided value is one bytes object per network, whichever process
+    # decided it, at whichever height or attempt
+    holders = {}
+    for proc in ledger_fork_world.procs.values():
+        for block in proc.chain:
+            holders.setdefault(block["block"], []).append(block["block"])
+    agreed = [blocks for blocks in holders.values() if len(blocks) > 1]
+    assert len(agreed) >= 6
+    assert all(len(set(map(id, blocks))) == 1 for blocks in agreed)

@@ -2,10 +2,11 @@
 
 At the start of each main height a core drops every context that no input can
 change any more, and its store moves those instances' messages out of the
-live index into per-instance logs.  The records must be those of a run that
-keeps everything; the logs must still convict an equivocator; the live state
-must stay flat however long the chain grows; and a retired message must keep
-no slot key once no store indexes it live.
+live index into per-instance logs, keeping only the kinds that can be half of
+a proof of fraud.  The records must be those of a run that keeps everything;
+the logs must still convict an equivocator; the live state must stay flat
+however long the chain grows; and a retired message must keep no slot key
+once no store indexes it live.
 """
 
 from fractions import Fraction
@@ -15,7 +16,15 @@ import pytest
 
 from accbft.binary import BinaryInstance
 from accbft.consensus import MessageStore, NodeCore
-from accbft.crypto import CHAN_BCAST, CHAN_BINARY, GROUP_MAIN, Kind, derive_pof, make_message
+from accbft.crypto import (
+    CHAN_BCAST,
+    CHAN_BINARY,
+    CONFLICT_ELIGIBLE,
+    GROUP_MAIN,
+    Kind,
+    derive_pof,
+    make_message,
+)
 from accbft.scenarios import (
     World,
     assign_roles,
@@ -46,17 +55,27 @@ def test_retiring_inert_contexts_keeps_the_records(name, monkeypatch):
     assert [canonical_record(run_scenario(scn, s).record) for s in seeds] == retiring
 
 
-def _retired_core():
-    """Core 1 of a clean 4-process agreement, its one context retired in
-    every core, so no store of the network holds its instances live."""
+def _retired_world():
+    """A clean 4-process agreement whose one context every core retired, so
+    no store of the network holds its instances live; and every message the
+    stores held live just before."""
     net, reg, cores = mini_world(4)
     ctxs = start_contexts(cores, {p: b"v%d" % p for p in cores})
     assert net.run() == "quiescent"
+    held = {
+        id(m): m for core in cores.values() for log in core.store.by_instance.values() for m in log
+    }
     for pid, core in cores.items():
         assert ctxs[pid].inert()
         core.retire_inert()
         assert core.contexts == {} and core.routes == {} and core.store.slots == {}
     assert net.slot_index.table == {} and net.slot_index.opened == {}
+    return net, reg, cores, ctxs, list(held.values())
+
+
+def _retired_core():
+    """Core 1 of _retired_world, and its retired context."""
+    _, reg, cores, ctxs, _ = _retired_world()
     return reg, cores[1], ctxs[1]
 
 
@@ -157,6 +176,71 @@ def test_a_new_message_for_a_retired_instance_is_stored_but_not_acted_on(monkeyp
     assert _keyless(core.store)
 
 
+def test_retirement_drops_what_can_convict_no_one():
+    net, _, _, _, held = _retired_world()
+    dropped = [m for m in held if m.kind not in CONFLICT_ELIGIBLE]
+    assert {m.kind for m in dropped} == {Kind.READY, Kind.DECISION}
+    # no store mark, no table entry (the table is empty) and no slot key
+    assert all(m._held == 0 and m._slot is None for m in dropped)
+    listed = {id(m) for log in net.slot_index.logs.values() for m in log[1:]}
+    assert listed == {id(m) for m in held if m.kind in CONFLICT_ELIGIBLE}
+
+
+def test_a_dropped_message_stays_indexed_while_another_store_holds_it_live():
+    net, _, cores = mini_world(4)
+    ctxs = start_contexts(cores, {p: b"v%d" % p for p in cores})
+    assert net.run() == "quiescent"
+    first, second = cores[1], cores[2]
+    iid = ctxs[1].slots[3].iid
+    ready = first.store.first(Kind.READY, iid, 1, 2, 4)
+    assert ready is not None and second.store.first(Kind.READY, iid, 1, 2, 4) is ready
+    first.retire_inert()
+    assert not ready._held & first.store.mark and ready._held & second.store.mark
+    assert net.slot_index.table[ready.slot()] is ready
+    assert ready not in net.slot_index.logs[iid]
+    for core in cores.values():
+        core.retire_inert()
+    assert ready._held == 0 and ready._slot is None and net.slot_index.table == {}
+
+
+def test_a_late_decision_is_new_each_time_and_never_kept():
+    reg, core, _ = _retired_core()
+    iid = (0, 0, GROUP_MAIN, CHAN_BINARY, 2)
+    log = list(core.store.logs[iid])
+    late = make_message(reg, 3, Kind.DECISION, iid, 9, 2, b"\x01")
+    for _ in range(3):
+        assert core.store.admit(reg, late) == ("new", None)
+    assert core.store.logs[iid] == log and late not in log
+    assert late._held == 0 and late._slot is None
+
+
+def test_a_late_decision_still_convicts_an_equivocating_inner():
+    reg, core, _ = _retired_core()
+    iid = (0, 0, GROUP_MAIN, CHAN_BINARY, 2)
+    logged = next(m for m in retired_view(core.store, iid) if m.kind == Kind.BVREADY)
+    # the same BVREADY slot as the logged one, with another payload
+    inner = make_message(
+        reg, logged.signer, Kind.BVREADY, iid, logged.round, logged.phase, b"\x02"
+    )
+    carrier = 1 + logged.signer % 4
+    late = make_message(reg, carrier, Kind.DECISION, iid, 9, 2, b"\x01", (inner,))
+    core.deliver_frame(carrier, late)
+    assert core.metrics.pofs_recorded == 1
+    assert not core.committee.is_active(logged.signer)
+    assert core.committee.is_active(carrier)
+
+
+@pytest.fixture(scope="module")
+def llb_world():
+    return run_scenario(llb_scenario(heights=10), 1).world
+
+
+def test_shared_logs_list_only_what_can_convict(llb_world):
+    logs = llb_world.net.slot_index.logs
+    kinds = {m.kind for log in logs.values() for m in log[1:]}
+    assert kinds and kinds <= CONFLICT_ELIGIBLE
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_live_state_stays_flat_as_the_chain_grows(seed):
     def live(heights):
@@ -174,8 +258,8 @@ def test_live_state_stays_flat_as_the_chain_grows(seed):
     assert slots30 <= slots10 * 1.25
 
 
-def test_messages_of_instances_no_store_holds_live_keep_no_slot_key():
-    world = run_scenario(llb_scenario(heights=10), 1).world
+def test_messages_of_instances_no_store_holds_live_keep_no_slot_key(llb_world):
+    world = llb_world
     stores = [proc.core.store for proc in world.procs.values()]
     live = {iid for store in stores for iid in store.by_instance}
     held = [m for store in stores for log in store.by_instance.values() for m in log]
