@@ -98,25 +98,37 @@ def deposit_flux(p: ZeroLossParams) -> Fraction:
     return (1 - r) * b - (p.branches - 1) * r
 
 
+def _log(x: Fraction) -> float:
+    """Natural log of a positive ratio, also one whose float underflows to 0."""
+    f = float(x)
+    return math.log(f) if f else math.log(x.numerator) - math.log(x.denominator)
+
+
 def min_blockdepth(branches: int, deposit_factor: Ratio, attack_success: Ratio) -> int:
     """Smallest retention depth w with non-negative deposit flux.
 
     Seeded from the closed form w >= log(b / (a-1+b)) / log(rho) - 1, then
     settled by exact integer search so float logs can never shift the answer.
-    A seed beyond MAX_BLOCKDEPTH raises DepthLimitError before any exact
-    power is built.
+    A seed beyond MAX_BLOCKDEPTH, or a deposit factor of 0 (the flux is then
+    -(a-1)*rho^(w+1) at every depth), raises DepthLimitError before any
+    exact power is built.
     """
     if branches < 2:
         raise ValueError("blockdepth needs at least 2 branches")
     b = as_fraction(deposit_factor)
     rho = as_fraction(attack_success)
+    if b < 0:
+        raise ValueError("blockdepth needs a deposit factor >= 0")
     if rho == 0:
         return 0
     if not 0 < rho < 1:
         raise ValueError("no finite blockdepth")
-    c = b / (branches - 1 + b)
-    log_rho = math.log(float(rho))  # 0.0 once rho rounds to 1
-    seed = math.log(float(c)) / log_rho - 1 if log_rho else math.inf
+    if b == 0:
+        raise DepthLimitError(
+            "no finite blockdepth for deposit factor 0: the flux is negative at every depth"
+        )
+    log_rho = _log(rho)  # 0.0 once rho rounds to 1
+    seed = _log(b / (branches - 1 + b)) / log_rho - 1 if log_rho else math.inf
     if seed > MAX_BLOCKDEPTH:
         raise DepthLimitError(
             "blockdepth for a=%d, b=%s, rho=%s exceeds %d"

@@ -247,15 +247,18 @@ class MessageStore:
         self.opened[iid] = self.opened.get(iid, 0) + 1
 
     def _swap_variant(self, key: tuple, prev: SignedMessage, msg: SignedMessage) -> None:
-        """Put the upgrade msg among the slot's variants, and take prev out
-        once no store holds it any more."""
-        entry = self.table[key]
-        variants = entry if entry.__class__ is list else [entry]
+        """Put the upgrade msg among the slot's variants, once ``_unindex``
+        has taken prev out if no store holds it any more."""
         if not prev._held & ~self.mark:
-            variants.remove(prev)
-        if msg not in variants:
-            variants.append(msg)
-        self.table[key] = variants[0] if len(variants) == 1 else variants
+            self._unindex(prev)
+        entry = self.table.get(key)
+        if entry is None:
+            self.table[key] = msg
+        elif entry.__class__ is list:
+            if msg not in entry:
+                entry.append(msg)
+        elif entry is not msg:
+            self.table[key] = [entry, msg]
 
     def _swap_logged(self, log: list, prev: SignedMessage, msg: SignedMessage) -> None:
         """Put the upgrade msg in a retired instance's log, and take prev out

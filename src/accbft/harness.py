@@ -11,7 +11,6 @@ import argparse
 import csv
 import hashlib
 import json
-import multiprocessing
 import os
 import random
 import sys
@@ -241,6 +240,8 @@ def _run_batch(
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     if workers < 2:
         return [_run_task(t) for t in tasks]
+    import multiprocessing  # only a pool needs it; single runs skip its import cost
+
     with multiprocessing.Pool(workers) as pool:
         return pool.map(_run_task, tasks, chunksize=1)
 

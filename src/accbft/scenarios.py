@@ -853,20 +853,23 @@ class World:
         later turns out spendable, and accounts with proofs of fraud against
         them forfeit their outputs back into the pool.  Each replica first
         punishes the accounts it holds proofs against, then merges the
-        distinct decided blobs in sorted order; each blob is decoded once and
-        the one block is merged into every replica.
+        distinct decided blobs in sorted order.  The blocks are streamed:
+        each blob is decoded once, merged into every replica and let go
+        before the next is decoded, so one decoded block is alive at a time.
         """
         blobs: set[bytes] = set()
         for pid in self.roles.honest:
             for rec in self.procs[pid].chain:
                 blobs.update(self._decision_blocks(rec["block"]))
-        blocks = [decode_block(blob) for blob in sorted(blobs)]
+        ledgers = [self.ledgers[pid] for pid in self.roles.honest]
         for pid in self.roles.honest:
-            ledger = self.ledgers[pid]
             for accused in sorted({p.accused for p in self.procs[pid].pofs.values()}):
-                ledger.punish_account(accused)
-            for block in blocks:
+                self.ledgers[pid].punish_account(accused)
+        for blob in sorted(blobs):
+            block = decode_block(blob)
+            for ledger in ledgers:
                 ledger.merge_block(block)
+            del block  # let go before the next blob is decoded
 
     # -- measurement -------------------------------------------------------------
 

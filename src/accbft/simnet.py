@@ -8,10 +8,13 @@ omission or crash, byzantine garbling) drops frames, and ``stats.omitted``
 counts them.  Virtual time is integer microseconds.
 
 Events wait in a calendar queue: one FIFO list per pending tick, plus a heap
-of the distinct pending ticks.  Events of one tick run in the order they were
-pushed, whether frames or timers, including a zero-delay frame pushed while
-its tick is being drained.  A frame costs one delay draw per recipient, from
-the network's one ``Random``, in recipient pid order.
+of the distinct pending ticks.  Each event takes two slots of its tick's
+list, the recipient pid and an event tuple: ``(src, msg)`` for a frame, one
+tuple per send that all its recipients share, or ``(None, key)`` for a
+timer.  Events of one tick run in the order they were pushed, whether frames
+or timers, including a zero-delay frame pushed while its tick is being
+drained.  A frame costs one delay draw per recipient, from the network's one
+``Random``, in recipient pid order.
 """
 
 from __future__ import annotations
@@ -111,12 +114,17 @@ class VirtualNet:
     deliver_frame/on_timer.
 
     Pending events sit in one FIFO list per virtual tick (``_cal``), and
-    ``_heap`` holds each pending tick once.  ``run`` drains the earliest
-    tick's list front to back, so events of one tick come out in the order
-    they were pushed, across frames and timers alike; a zero-delay frame
-    pushed while that tick drains (a send to an attacker pid) joins the end
-    of the list being drained.  That is the order a heap keyed by (tick,
-    push sequence) gives.
+    ``_heap`` holds each pending tick once.  An event is two slots of its
+    tick's list, ``[dst, event, dst, event, ...]``: ``event`` is the
+    ``(src, msg)`` tuple that ``send`` builds once and shares among its
+    recipients (a filter that returns another object gets a tuple of its
+    own), or ``(None, key)`` for a timer, so a pending frame costs two list
+    slots and no object of its own.  ``run`` drains the earliest tick's list
+    front to back, so events of one tick come out in the order they were
+    pushed, across frames and timers alike; a zero-delay frame pushed while
+    that tick drains (a send to an attacker pid) joins the end of the list
+    being drained.  That is the order a heap keyed by (tick, push sequence)
+    gives.
 
     ``send`` is the one frame primitive.  Each (src, dst) link resolves once,
     on its first frame, into its delay draw and its statistics class, so the
@@ -130,7 +138,7 @@ class VirtualNet:
         self.horizon = horizon
         self.now = 0
         self._heap: list[int] = []  # distinct pending ticks
-        self._cal: dict[int, list[tuple]] = {}  # tick -> events, push order
+        self._cal: dict[int, list] = {}  # tick -> [dst, event, ...], push order
         self._links: dict[int, dict[int, tuple]] = {}  # src -> dst -> link
         self.hosts: dict[int, object] = {}
         # pid -> partition index for honest processes; attackers absent
@@ -221,15 +229,19 @@ class VirtualNet:
         stats = self.stats
         trace = self.trace
         sent = intra_sum = intra_n = cross_sum = cross_n = 0
+        shared = (src, msg)  # the event every unfiltered recipient queues
         for dst in sorted(dsts):
             if dst == src:
                 continue
             out = msg
+            event = shared
             if filt is not None:
                 out = filt(msg)
                 if out is None:
                     stats.omitted += 1
                     continue
+                if out is not msg:
+                    event = (src, out)
             link = links.get(dst)
             if link is None:
                 link = self._link(src, dst)
@@ -247,10 +259,11 @@ class VirtualNet:
                 at = cap
             q = cal.get(at)
             if q is None:
-                cal[at] = [(dst, src, out)]
+                cal[at] = [dst, event]
                 heappush(heap, at)
             else:
-                q.append((dst, src, out))
+                q.append(dst)
+                q.append(event)
             sent += 1
             if stat == INTRA:
                 intra_sum += at - now
@@ -286,10 +299,11 @@ class VirtualNet:
         at = self.now + max(delay, 1)
         q = self._cal.get(at)
         if q is None:
-            self._cal[at] = [(pid, None, key)]
+            self._cal[at] = [pid, (None, key)]
             heappush(self._heap, at)
         else:
-            q.append((pid, None, key))
+            q.append(pid)
+            q.append((None, key))
 
     # -- main loop ----------------------------------------------------------
 
@@ -299,8 +313,10 @@ class VirtualNet:
         Returns the stop reason: "quiescent" | "horizon" | "budget".  A
         budget stop inside a tick leaves that tick's unprocessed events
         queued, so a later ``run`` resumes exactly where this one stopped.
-        A queued event is (pid, src, msg) for a frame and (pid, None, key)
-        for a timer.
+        A tick's list holds each event as two slots, the recipient pid and
+        then (src, msg) for a frame or (None, key) for a timer.  The loop
+        over one iterator of the list takes each pid, and ``next`` on the
+        same iterator takes its event.
         """
         heap = self._heap
         cal = self._cal
@@ -316,12 +332,14 @@ class VirtualNet:
             self.now = t
             q = cal[t]
             start = left
+            slots = iter(q)
             # frames pushed for tick t while it drains join q and are reached
-            for pid, src, item in q:
+            for pid in slots:
                 if not left:
-                    del q[:start]  # the budget ran out after q's first start events
+                    del q[: 2 * start]  # the budget ran out after q's first start events
                     return "budget"
                 left -= 1
+                src, item = next(slots)
                 host = hosts.get(pid)
                 if host is not None:
                     if src is None:

@@ -1,5 +1,6 @@
 """Closed-form bounds: branch counts, confirmation thresholds, deposit sizing."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,24 @@ def test_min_blockdepth_edges():
         min_blockdepth(5, "0.1", 1)
     with pytest.raises(ValueError, match="at least 2 branches"):
         min_blockdepth(1, "0.1", "0.9")
+
+
+def test_min_blockdepth_without_a_deposit_has_no_finite_depth():
+    # the flux is -(a-1)*rho^(w+1) < 0 at every depth
+    with pytest.raises(DepthLimitError, match="no finite blockdepth for deposit factor 0"):
+        min_blockdepth(3, 0, "0.9")
+    with pytest.raises(ValueError, match="deposit factor >= 0"):
+        min_blockdepth(3, -1, "0.9")
+    assert min_blockdepth(3, 0, 0) == 0  # nothing to outrun
+
+
+def test_min_blockdepth_seeds_from_ratios_whose_float_underflows():
+    tiny = Fraction(1, 10**401)  # float(tiny) == 0.0
+    assert min_blockdepth(3, "0.1", tiny) == 0
+    # a deposit factor that small needs w near log(10^401) / log(1/0.9)
+    w = min_blockdepth(3, tiny, "0.9")
+    params = ZeroLossParams(3, tiny, "0.9", w)
+    assert deposit_flux(params) >= 0 > deposit_flux(replace(params, blockdepth=w - 1))
 
 
 def test_reference_rows_expose_both_sides_of_each_mismatch():

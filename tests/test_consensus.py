@@ -158,6 +158,32 @@ def test_an_upgrade_in_one_store_leaves_the_others_bare_copy(registry):
     assert index.table[key] is carrying and not bare._held
 
 
+def test_an_upgraded_away_copy_keeps_its_slot_key_only_while_a_store_holds_it(registry):
+    def variants():
+        inner = make_message(registry, 2, Kind.ECHO, INST, 1, 2, b"v")
+        return (
+            make_message(registry, 1, Kind.EST, INST, 2, 0, b"v"),
+            make_message(registry, 1, Kind.EST, INST, 2, 0, b"v", certificate=(inner,)),
+        )
+
+    bare, carrying = variants()
+    key = bare.slot()
+    store = MessageStore(1)
+    assert store.admit(registry, bare) == ("new", None)
+    assert store.admit(registry, carrying) == ("upgraded", None)
+    assert store.table[key] is carrying
+    assert not bare._held and bare._slot is None
+
+    bare, carrying = variants()
+    index, (a, b) = _sharing(1, 2)
+    for store in (a, b):
+        assert store.admit(registry, bare) == ("new", None)
+    assert a.admit(registry, carrying) == ("upgraded", None)
+    assert bare._slot == key  # b still holds it live
+    assert b.admit(registry, carrying) == ("upgraded", None)
+    assert not bare._held and bare._slot is None and index.table[key] is carrying
+
+
 def test_entries_are_freed_when_the_last_store_that_opened_the_instance_retires_it(
     registry,
 ):

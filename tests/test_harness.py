@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +119,8 @@ def test_pick_profile_is_deterministic_and_tolerated():
         # the deepest depths the cap lets through
         (("analyze", "blockdepth", "--a", "3", "--rho", "0.999"), "3042"),
         (("analyze", "flux", "--a", "3", "--w", "10000"), "0.1"),
+        # a rho whose float underflows to 0 seeds from the exact ratio
+        (("analyze", "blockdepth", "--a", "3", "--rho", "1/1" + "0" * 401), "0"),
     ],
 )
 def test_analyze_prints_single_values(capsys, argv, want):
@@ -180,6 +186,9 @@ def test_analyze_rejects_bad_requests(capsys):
         (("blockdepth", "--a", "3", "--rho", "0." + "9" * 30), EX_USAGE, "exceeds 10000"),
         (("flux", "--a", "3", "--w", "100000000"), EX_USAGE, "blockdepth 100000000 exceeds"),
         (("flux", "--a", "3", "--w", "10001"), EX_USAGE, "blockdepth 10001 exceeds"),
+        # no depth at all pays for a fork without a deposit
+        (("blockdepth", "--a", "3", "--b", "0"), EX_USAGE, "no finite blockdepth for deposit"),
+        (("blockdepth", "--a", "3", "--b", "-1"), EX_SCENARIO, "deposit factor >= 0"),
     ],
 )
 def test_analyze_rejects_out_of_domain_input(capsys, argv, code, diagnostic):
@@ -239,6 +248,17 @@ def test_run_rejects_unusable_output_paths(capsys, tmp_path, monkeypatch, argv, 
     assert diagnostic in err and "Traceback" not in err
     # rejected before any seed runs, and nothing written
     assert ran == [] and sorted(p.name for p in tmp_path.iterdir()) == ["scn.json", "taken"]
+
+
+def test_importing_the_harness_leaves_multiprocessing_unimported():
+    # a single run formats its row in-process; only a worker pool needs it
+    src = Path(harness.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, accbft.harness; print('multiprocessing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 @pytest.fixture

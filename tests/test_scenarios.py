@@ -1,17 +1,20 @@
 """Scenario descriptions, role layout, and whole-run invariants."""
 
+import copy
 import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accbft import scenarios
 from accbft.committee import FaultProfile, threshold_tolerated
 from accbft.crypto import CHAN_BCAST, GROUP_MAIN, Kind, make_message
 from accbft.ledger import (
@@ -590,6 +593,44 @@ def test_block_table_stays_bounded_as_heights_grow():
     # about three heights of proposals; a table that kept every blob would
     # hold some 100 at 10 heights and 380 at 40
     assert max(peaks.values()) <= 64, peaks
+
+
+def _ledger_state(ledger):
+    return (ledger.deposit, ledger.inputs_deposit, ledger.punished, ledger.txs,
+            ledger.utxos, ledger.blocks)
+
+
+def test_reconciliation_streams_one_decoded_block_at_a_time(monkeypatch):
+    world = World(ledger_fork_shape(10), 1)
+    world.start()
+    world.net.run(20_000_000)
+    # every replica must end as if it punished its accused, then merged every
+    # distinct decided block in blob order on its own
+    blobs = sorted(
+        {b for p in world.roles.honest for rec in world.procs[p].chain
+         for b in world._decision_blocks(rec["block"])}
+    )
+    want = {}
+    for pid in world.roles.honest:
+        ledger = copy.deepcopy(world.ledgers[pid])
+        for accused in sorted({p.accused for p in world.procs[pid].pofs.values()}):
+            ledger.punish_account(accused)
+        for blob in blobs:
+            ledger.merge_block(decode_block(blob))
+        want[pid] = _ledger_state(ledger)
+
+    decoded = []
+
+    def decode(blob):
+        assert all(ref() is None for ref in decoded), "an earlier block is still alive"
+        block = decode_block(blob)
+        decoded.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(scenarios, "decode_block", decode)
+    world.reconcile_ledgers()
+    assert len(decoded) == len(blobs) > 10
+    assert {pid: _ledger_state(world.ledgers[pid]) for pid in world.roles.honest} == want
 
 
 # -- fuzzed scenario files -----------------------------------------------------

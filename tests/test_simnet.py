@@ -1,5 +1,6 @@
 """Virtual network: delay discipline, fault filters, event loop contracts."""
 
+import gc
 import random
 
 import pytest
@@ -246,6 +247,48 @@ def test_run_stops_at_horizon_and_budget():
     for k in range(5):
         net2.arm_timer(1, ("t", k), 1_000 + k)
     assert net2.run(event_budget=2) == "budget"
+
+
+def _tracked_objects_added(send):
+    """GC-tracked objects a send leaves behind, the collector paused."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        send()
+        return len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("spread", [0, 1_999])
+def test_a_pending_frame_costs_no_object_of_its_own(registry, spread):
+    """The calendar keeps a frame as two slots of its tick's list, the
+    recipient and a (src, msg) tuple every recipient of the send shares, so
+    a send to 1,000 recipients over k ticks adds k + 1 objects: k lists and
+    one tuple."""
+    net = VirtualNet(
+        NetConfig(delta=10**9, gst=0, base=UniformDelay(1_000, 1_000 + spread)),
+        1,
+        horizon=10**12,
+    )
+    msg = envelope(registry)
+    dsts = range(2, 1_002)
+    net.send(1, dsts, msg)  # resolves every link
+    assert net.run() == "quiescent" and not net._heap
+    # a pending event keeps the calendar's dict tracked through the collection
+    net.arm_timer(1, ("last",), 10_000)
+    added = _tracked_objects_added(lambda: net.send(1, dsts, msg))
+    ticks = len(net._heap) - 1
+    assert ticks == 1 if spread == 0 else ticks > 500
+    assert added <= ticks + 1
+    hosts = {p: RecordingHost(net) for p in dsts}
+    for p, h in hosts.items():
+        net.add_host(p, h)
+    net.add_host(1, hosts[2])
+    assert net.run() == "quiescent"
+    assert all(h.frames == [(1, msg)] for h in hosts.values())
+    assert hosts[2].timers == [("last",)]
 
 
 # -- event order and per-recipient draws ------------------------------------------
