@@ -481,7 +481,8 @@ class BinaryInstance:
         if self.decided is not None or self.round != r or self.phase != phase:
             return
         # stuck: share everything held for this phase and all future ones
-        bundle = self.core.store.instance_msgs(self.iid, min_round=r, min_phase=phase)
+        held = self.core.store.by_instance.get(self.iid, ())
+        bundle = [m for m in held if m.round > r or m.round == r and m.phase >= phase]
         self.core.share(self.iid, r, phase, bundle, self.committee)
         self._arm(phase)
 

@@ -197,7 +197,8 @@ class BroadcastInstance:
         if key[2] != self.epoch or self.delivered is not None or self.cancelled:
             return
         self.fires += 1
-        bundle = self.core.store.instance_msgs(self.iid, only_kinds=(Kind.INIT, Kind.ECHO))
+        held = self.core.store.by_instance.get(self.iid, ())
+        bundle = [m for m in held if m.kind == Kind.INIT or m.kind == Kind.ECHO]
         self.core.share(self.iid, 1, 0, bundle, self.committee)
         self._arm()
 

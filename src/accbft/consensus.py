@@ -81,10 +81,10 @@ class MessageStore:
     upgrades the stored copy in place: justifications travel lazily.
 
     ``by_instance`` lists each live instance's messages in this store's
-    first-admission order, which ``group``, ``quorum_cert`` and
-    ``NodeCore.register_context``'s replay read, so it stays per store.  The
-    slot index is shared: the stores of one network see the same message
-    objects, so they index them in one ``SlotIndex``
+    first-admission order, which ``group``, ``quorum_cert``, the instances'
+    retransmissions and ``NodeCore.register_context``'s replay read, so it
+    stays per store.  The slot index is shared: the stores of one network
+    see the same message objects, so they index them in one ``SlotIndex``
     (``simnet.VirtualNet.slot_index``; a store made without one keeps its
     own).  Its table maps a slot key to the one object the stores admitted,
     or to a list of variants when stores hold different objects for the
@@ -103,25 +103,25 @@ class MessageStore:
     be half of a proof of fraud (a ``crypto.CONFLICT_ELIGIBLE`` kind).  The
     log lists each such message any of these stores holds once, and a
     store's part of it is the messages that carry the store's mark.  A READY
-    or a DECISION is dropped at retirement: the store clears its mark on
-    it, and it leaves the table once no store holds it.  Admission still
-    finds a conflict, a duplicate or an upgrade in the store's part by
-    scanning the log, so a late equivocation yields the same proof of fraud
-    as before.  A new conflict-eligible message for a retired instance joins
-    the log, never the table.  A late READY or DECISION is reported "new"
-    and kept nowhere, so the caller walks its certificate as on first
-    sight, and an equivocating inner still convicts its signer.  The index
-    counts the stores that hold each instance live; the last of them to
-    retire it walks the log to delete the instance's table entries and
-    clear the slot keys its messages cache (``SignedMessage.slot()``), so a
-    retired message keeps no key, and no key is built again to delete it.
+    or a DECISION is dropped at retirement: the store clears its mark on it.
+    Admission still finds a conflict, a duplicate or an upgrade in the
+    store's part by scanning the log, so a late equivocation yields the same
+    proof of fraud as before.  A new conflict-eligible message for a retired
+    instance joins the log, never the table.  A late READY or DECISION is
+    reported "new" and kept nowhere, so the caller walks its certificate as
+    on first sight, and an equivocating inner still convicts its signer.
+
+    One rule ties the table to the marks: a message is in the table, and
+    keeps its cached slot key (``SignedMessage.slot()``), exactly while a
+    store that has not retired its instance holds it, that is while
+    ``m._held & ~logs[iid][0]`` is set.  ``admit``, ``retire`` and
+    ``release`` apply it to each message whose holders they change.
     """
 
     def __init__(self, mark: int, index: Optional[SlotIndex] = None) -> None:
         if index is None:
             index = SlotIndex()
         self.table = index.table
-        self.opened = index.opened
         self.logs = index.logs
         self.by_instance: dict[InstanceId, list[SignedMessage]] = {}
         self.mark = mark
@@ -171,33 +171,31 @@ class MessageStore:
         """Returns (status, pof) with status in new|dup|upgraded|conflict."""
         mark = self.mark
         log = self.logs.get(msg.instance)
-        if log is not None and not log[0] & mark:
-            log = None  # only other stores retired it: this one holds it live
-        if log is None:
+        mask = 0 if log is None else log[0]  # the stores that retired it
+        if not mask & mark:
             key = msg.slot()
             table = self.table
-            prev = table.get(key)
+            entry = prev = table.get(key)
             # prev becomes the variant this store holds, or None
-            if prev is None:
+            if entry is None:
                 table[key] = msg
-            elif prev.__class__ is list:
-                for v in prev:
-                    if v._held & mark:
-                        prev = v
+            elif entry.__class__ is list:
+                for prev in entry:
+                    if prev._held & mark:
                         break
                 else:
-                    if msg not in prev:
-                        prev.append(msg)
+                    if msg not in entry:
+                        entry.append(msg)
                     prev = None
-            elif not prev._held & mark:
-                if prev is not msg:
-                    table[key] = [prev, msg]
+            elif not entry._held & mark:
+                if entry is not msg:
+                    table[key] = [entry, msg]
                 prev = None
             if prev is None:
                 msg._held |= mark
                 held = self.by_instance.get(msg.instance)
                 if held is None:
-                    self._open(msg.instance, [msg])
+                    self.by_instance[msg.instance] = [msg]
                 else:
                     held.append(msg)
                 return "new", None
@@ -220,68 +218,52 @@ class MessageStore:
                 ):
                     break
             else:
-                if not msg._held & log[0]:  # not listed yet for another store
+                if not msg._held & mask:  # not listed yet for another store
                     log.append(msg)
-                    if not msg._held:  # a key cached elsewhere indexes nothing
+                    if not msg._held:  # nor by a live store: no slot key
                         msg._slot = None
                 msg._held |= mark
                 return "new", None
         if prev.payload != msg.payload:
             return "conflict", derive_pof(registry, prev, msg)
         if msg.certificate and not prev.certificate:
-            if log is None:
-                self._swap_variant(key, prev, msg)
-                held = self.by_instance[msg.instance]
-                held[held.index(prev)] = msg
-            else:
-                self._swap_logged(log, prev, msg)
             prev._held &= ~mark
             msg._held |= mark
+            if not mask & mark:
+                # msg takes prev's place here and in the entry, which keeps
+                # prev too while a live store still holds it
+                held = self.by_instance[msg.instance]
+                held[held.index(prev)] = msg
+                kept = prev._held & ~mask
+                if not kept:
+                    prev._slot = None
+                if entry is prev:
+                    table[key] = [prev, msg] if kept else msg
+                else:
+                    if msg not in entry:
+                        entry.append(msg)
+                    if not kept:
+                        entry.remove(prev)
+                        if len(entry) == 1:
+                            table[key] = entry[0]
+            else:
+                # the live stores' holdings do not change, so neither does
+                # the table: the log lists msg unless another store that
+                # retired the instance already does, and keeps prev only
+                # while such a store holds it
+                others = mask & ~mark
+                if not msg._held & others:
+                    log.append(msg)
+                    if not msg._held & ~mask:
+                        msg._slot = None
+                if not prev._held & others:
+                    log.remove(prev)
             return "upgraded", None
         return "dup", None
 
-    def _open(self, iid: InstanceId, held: list) -> None:
-        """Start this store's live log of an instance, and count the store
-        among those that hold the instance live."""
-        self.by_instance[iid] = held
-        self.opened[iid] = self.opened.get(iid, 0) + 1
-
-    def _swap_variant(self, key: tuple, prev: SignedMessage, msg: SignedMessage) -> None:
-        """Put the upgrade msg among the slot's variants, once ``_unindex``
-        has taken prev out if no store holds it any more."""
-        if not prev._held & ~self.mark:
-            self._unindex(prev)
-        entry = self.table.get(key)
-        if entry is None:
-            self.table[key] = msg
-        elif entry.__class__ is list:
-            if msg not in entry:
-                entry.append(msg)
-        elif entry is not msg:
-            self.table[key] = [entry, msg]
-
-    def _swap_logged(self, log: list, prev: SignedMessage, msg: SignedMessage) -> None:
-        """Put the upgrade msg in a retired instance's log, and take prev out
-        once no other store that retired the instance holds it.  A prev no
-        store holds any more also leaves the table, where it still is if
-        this store held it live and another store still holds the instance
-        live."""
-        others = log[0] & ~self.mark
-        if msg._held & others:
-            if not prev._held & others:
-                log.remove(prev)
-        elif prev._held & others:
-            log.append(msg)
-        else:
-            log[log.index(prev)] = msg
-        if not msg._held:
-            msg._slot = None
-        if not prev._held & ~self.mark:
-            self._unindex(prev)
-
     def _unindex(self, m: SignedMessage) -> None:
-        """Take a message no store holds any more out of the table, if it
-        is there, and drop its slot key."""
+        """Take a message no live store holds any more out of the table, and
+        drop its slot key."""
         key, m._slot = m._slot, None
         entry = self.table.get(key)
         if entry is m:
@@ -295,97 +277,48 @@ class MessageStore:
         """Move an instance's messages out of the live index into the
         network's log of it, listing only those no store that retired it
         before already holds.  A message of a kind that can be no half of a
-        proof of fraud is dropped instead: the store lets go of it, and a
-        message no store holds any more leaves the table."""
-        log = self.logs.get(iid)
-        if log is None:
-            log = self.logs[iid] = [0]
+        proof of fraud is dropped instead: the store lets go of it.  A
+        message no live store holds any more leaves the table."""
+        log = self.logs.setdefault(iid, [0])
         mark = self.mark
         mask = log[0]
         log[0] = mask | mark
-        held = self.by_instance.pop(iid, None)
-        if held is None:
-            return
-        for m in held:
+        live = ~(mask | mark)
+        for m in self.by_instance.pop(iid, ()):
             if m.kind not in CONFLICT_ELIGIBLE:
                 m._held &= ~mark
-                if not m._held:
-                    self._unindex(m)
             elif not m._held & mask:
                 log.append(m)
-        self._close(iid, log)
-
-    def _close(self, iid: InstanceId, log: Optional[list]) -> None:
-        """Count this store out of an instance's live holders.  The last one
-        deletes the instance's table entries and clears their cached slot
-        keys, reading each key from the message in the log that caches it:
-        by then every message an entry lists is in the log, since a READY or
-        DECISION left the table when the last store let go of it."""
-        left = self.opened[iid] - 1
-        if left:
-            self.opened[iid] = left
-            return
-        del self.opened[iid]
-        if log is None:
-            return
-        table = self.table
-        for m in islice(log, 1, None):
-            key = m._slot
-            if key is not None:
-                m._slot = None
-                entry = table.pop(key, None)
-                if entry.__class__ is list:
-                    for v in entry:
-                        v._slot = None
-                elif entry is not None:
-                    entry._slot = None
+            if not m._held & live:
+                self._unindex(m)
 
     def release(self) -> None:
-        """Forget a store that is being dropped: count it out of its live
-        instances and take its mark off every message and log, so nothing
-        only it held outlives it in the table or in a log."""
+        """Forget a store that is being dropped: take its mark off every
+        message and log, so nothing only it held outlives it in the table or
+        in a log."""
         mark = self.mark
         for iid, held in self.by_instance.items():
+            live = ~self.logs.get(iid, (0,))[0]
             for m in held:
                 m._held &= ~mark
-                if not m._held:
+                if not m._held & live:
                     self._unindex(m)
-            self._close(iid, self.logs.get(iid))
         self.by_instance.clear()
         for iid, log in list(self.logs.items()):
             mask = log[0]
             if not mask & mark:
                 continue
+            # a logged message's live holders, and so its key, stay as they are
             mask &= ~mark
             kept = [mask]
             for m in islice(log, 1, None):
                 m._held &= ~mark
                 if m._held & mask:
                     kept.append(m)
-                elif not m._held:
-                    self._unindex(m)
             if mask:
                 self.logs[iid] = kept
             else:
                 del self.logs[iid]
-
-    def instance_msgs(
-        self,
-        iid: InstanceId,
-        min_round: int = 0,
-        min_phase: int = 0,
-        only_kinds: Optional[tuple] = None,
-    ) -> list[SignedMessage]:
-        out = []
-        for m in self.by_instance.get(iid, ()):
-            if only_kinds is not None and m.kind not in only_kinds:
-                continue
-            if m.round < min_round:
-                continue
-            if m.round == min_round and m.phase < min_phase:
-                continue
-            out.append(m)
-        return out
 
 
 class HeldSlots(Mapping):
@@ -516,7 +449,8 @@ class NodeCore:
         for iid, inst in routed:
             self.routes[iid] = (ctx, inst)
         for iid, _ in routed:
-            for m in self.store.instance_msgs(iid):
+            # a copy: dispatching can admit more messages of the instance
+            for m in list(self.store.by_instance.get(iid, ())):
                 self._dispatch(m)
 
     def retire_inert(self) -> None:

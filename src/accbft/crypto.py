@@ -70,10 +70,9 @@ class SignedMessage:
     are not part of the message: ``_sigok`` memoises the signature check,
     ``_slot`` caches the slot key, which is also the message's key in the
     live slot table the stores of a network share, and ``_held`` marks the
-    stores that hold this very object (see consensus.MessageStore).  The
-    last store of the network to retire the message's instance clears
-    ``_slot``, and so does a store that logs a message no store holds: a
-    message kept for an instance no store holds live keeps no key.
+    stores that hold this very object (see consensus.MessageStore).  A
+    message keeps ``_slot`` while a store that has not retired its instance
+    holds it: one kept only in a retired instance's log keeps no key.
     """
 
     kind: int

@@ -133,7 +133,8 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # malformed JSON, bytes that are not UTF-8, or nesting too deep
             raise ScenarioError(["json: %s" % exc]) from exc
     if not isinstance(raw, dict):
         raise ScenarioError(["json: top level must be an object"])

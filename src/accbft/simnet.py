@@ -88,8 +88,8 @@ class SlotIndex:
 
     ``table`` maps a slot key to the one message object the stores hold for
     that slot, or to a list of the variants when they hold different objects
-    for it.  ``opened`` maps an instance id to the number of stores that
-    hold the instance live.  ``logs`` maps the id of an instance some store
+    for it; it lists a message exactly while a store that has not retired
+    its instance holds it.  ``logs`` maps the id of an instance some store
     has retired to ``[mask, msg, ...]``: ``mask`` ORs the marks of the
     stores that retired it, and the messages are those of a kind that can
     be half of a proof of fraud (``crypto.CONFLICT_ELIGIBLE``) that any of
@@ -99,11 +99,10 @@ class SlotIndex:
     decide one value share one bytes object for it.
     """
 
-    __slots__ = ("table", "opened", "logs", "iids", "values")
+    __slots__ = ("table", "logs", "iids", "values")
 
     def __init__(self) -> None:
         self.table: dict[tuple, object] = {}
-        self.opened: dict[tuple, int] = {}
         self.logs: dict[tuple, list] = {}
         self.iids: dict[tuple, tuple] = {}
         self.values: dict[bytes, bytes] = {}

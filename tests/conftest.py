@@ -1,10 +1,13 @@
-"""Shared fixtures: key material, a bare micro-network builder, and one small
-pre-run scenario whose outcome several test modules pick apart."""
+"""Shared fixtures: key material, a bare micro-network builder, a switch to
+stores with private slot indexes, and one small pre-run scenario whose
+outcome several test modules pick apart."""
+
+from contextlib import contextmanager
 
 import pytest
 
 from accbft.committee import Committee, FaultProfile, default_h0
-from accbft.consensus import MultiContext, NodeCore, ProtoConfig
+from accbft.consensus import MessageStore, MultiContext, NodeCore, ProtoConfig
 from accbft.crypto import (
     GROUP_MAIN,
     CHAN_BCAST,
@@ -74,6 +77,23 @@ def mini_world(n, seed=0, h0=None, alpha=None):
         net.add_host(pid, core)
         cores[pid] = core
     return net, reg, cores
+
+
+@contextmanager
+def private_index():
+    """Within the block, every MessageStore built in this process keeps a
+    slot index of its own instead of its network's shared one: the
+    reference a run with shared stores must match."""
+    shared = MessageStore.__init__
+
+    def private(self, mark, index=None):
+        shared(self, mark)
+
+    MessageStore.__init__ = private
+    try:
+        yield
+    finally:
+        MessageStore.__init__ = shared
 
 
 def retired_view(store, iid):

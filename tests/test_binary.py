@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from accbft.binary import dec_bits, enc_bit, enc_bits, parity
+from accbft.crypto import Kind, make_message
 from conftest import mini_world, start_contexts
 
 
@@ -72,3 +73,28 @@ def test_vote_outcomes_agree_across_processes():
         ]
         assert all(v == views[0] for v in views[1:]), seed
         assert set(views[0].values()) <= {0, 1}
+
+
+def test_a_fired_phase_timer_shares_what_is_held_from_its_phase_on():
+    net, reg, cores = mini_world(4, seed=1)
+    core = cores[1]
+    sent = []
+    net.send = lambda src, dsts, msg: sent.append(msg)
+    bin_ = start_contexts({1: core}, {})[1].bins[2]
+    bin_.propose(1)
+    # a round-1 quorum for 1 with a lone 0 beside it, and two round-2 echoes
+    # (the wire phase of a BVECHO is 1 + its value)
+    for signer, r, v in ((2, 1, 0), (2, 1, 1), (3, 1, 1), (4, 2, 0), (4, 2, 1)):
+        m = make_message(reg, signer, Kind.BVECHO, bin_.iid, r, 1 + v, enc_bit(v))
+        core.deliver_frame(signer, m)
+    rs = bin_.rounds[1]
+    bin_.on_timer(("bin", bin_.iid, 1, 1, rs.epoch[1]))
+    assert (bin_.round, bin_.phase) == (1, 2) and rs.bin_vals.keys() == {1}
+    sent.clear()
+    bin_.on_timer(("bin", bin_.iid, 1, 2, rs.epoch[2]))
+    (bundle,) = [m for m in sent if m.kind == Kind.MSGSET]
+    held = core.store.by_instance[bin_.iid]
+    assert list(bundle.certificate) == [m for m in held if (m.round, m.phase) >= (1, 2)]
+    # its own phase and everything after it go, the earlier phase stays
+    assert {(m.round, m.phase) for m in bundle.certificate} == {(1, 2), (2, 1), (2, 2)}
+    assert {(m.round, m.phase) for m in held} == {(1, 1), (1, 2), (2, 1), (2, 2)}

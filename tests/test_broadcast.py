@@ -64,3 +64,25 @@ def test_ready_needs_round_one_echoes():
         slot = ctx.slots[2]
         cores[1].deliver_frame(2, _ready_over_echoes(reg, slot.iid, echo_round))
         assert (slot.delivered == b"v") is delivers
+
+
+def test_a_retransmission_shares_the_inits_and_echoes_but_no_ready():
+    net, reg, cores = mini_world(4, seed=1)
+    core = cores[1]
+    sent = []
+    net.send = lambda src, dsts, msg: sent.append(msg)
+    slot = start_contexts({1: core}, {})[1].slots[2]
+    # the INIT makes core 1 echo; the READY has no certificate, so nothing
+    # delivers
+    for signer, kind in ((2, Kind.INIT), (3, Kind.ECHO), (3, Kind.READY)):
+        m = make_message(reg, signer, kind, slot.iid, 1, kind_phase(kind), b"v")
+        core.deliver_frame(signer, m)
+    assert slot.delivered is None
+    held = core.store.by_instance[slot.iid]
+    assert [(m.kind, m.signer) for m in held] == [
+        (Kind.INIT, 2), (Kind.ECHO, 1), (Kind.ECHO, 3), (Kind.READY, 3)
+    ]
+    sent.clear()
+    slot.on_timer(("rb", slot.iid, slot.epoch))
+    (bundle,) = [m for m in sent if m.kind == Kind.MSGSET]
+    assert list(bundle.certificate) == held[:3]

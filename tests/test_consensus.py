@@ -3,6 +3,7 @@
 import types
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,9 +27,16 @@ from accbft.crypto import (
     pofs_payload,
     verify_message,
 )
-from accbft.scenarios import clean_scenario, run_scenario
+from accbft.scenarios import (
+    canonical_record,
+    clean_scenario,
+    fork_scenario,
+    llb_scenario,
+    load_scenario,
+    run_scenario,
+)
 from accbft.simnet import SlotIndex
-from conftest import fraud_proof, mini_world, retired_view, start_contexts
+from conftest import fraud_proof, mini_world, private_index, retired_view, start_contexts
 
 INST = (0, 0, GROUP_MAIN, CHAN_BCAST, 1)
 
@@ -68,7 +76,7 @@ def test_certificate_upgrade_replaces_stored_copy(registry):
     stored = store.first(Kind.EST, INST, 2, 0, 1)
     assert stored is carrying
     assert store.group(Kind.EST, INST, 2, 0)[1] is carrying
-    assert store.instance_msgs(INST) == [carrying]
+    assert store.by_instance[INST] == [carrying]
     # a second bare copy no longer upgrades anything
     assert store.admit(registry, bare)[0] == "dup"
 
@@ -92,20 +100,6 @@ def test_group_keeps_first_admission_order(registry):
     ]
     assert store.group(Kind.EST, INST, 2, 0) == {2: elsewhere}
     assert store.group(Kind.ECHO, INST, 1, 0) == {}
-
-
-def test_instance_msgs_filters(registry):
-    store = MessageStore(1)
-    m_r1 = make_message(registry, 1, Kind.ECHO, INST, 1, 1, b"a")
-    m_r2 = make_message(registry, 2, Kind.ECHO, INST, 2, 1, b"b")
-    m_rdy = make_message(registry, 3, Kind.READY, INST, 2, 2, b"c")
-    for m in (m_r1, m_r2, m_rdy):
-        store.admit(registry, m)
-    assert store.instance_msgs(INST) == [m_r1, m_r2, m_rdy]
-    assert store.instance_msgs(INST, min_round=2) == [m_r2, m_rdy]
-    assert store.instance_msgs(INST, min_round=2, min_phase=2) == [m_rdy]
-    assert store.instance_msgs(INST, only_kinds=(Kind.READY,)) == [m_rdy]
-    assert store.group(Kind.ECHO, INST, 1, 1) == {1: m_r1}
 
 
 # -- the slot index the stores of one network share ------------------------------
@@ -149,9 +143,9 @@ def test_an_upgrade_in_one_store_leaves_the_others_bare_copy(registry):
     assert index.table[key] is bare
     assert a.admit(registry, carrying) == ("upgraded", None)
     assert index.table[key] == [bare, carrying]
-    assert a.first(*key) is carrying and a.instance_msgs(INST) == [carrying]
+    assert a.first(*key) is carrying and a.by_instance[INST] == [carrying]
     assert b.first(*key) is bare and b.slots.get(key) is bare and key in b.slots
-    assert b.instance_msgs(INST) == [bare]
+    assert b.by_instance[INST] == [bare]
     assert b.admit(registry, bare) == ("dup", None)
     # once the other store takes the upgrade too, the bare copy is held nowhere
     assert b.admit(registry, carrying) == ("upgraded", None)
@@ -184,28 +178,28 @@ def test_an_upgraded_away_copy_keeps_its_slot_key_only_while_a_store_holds_it(re
     assert not bare._held and bare._slot is None and index.table[key] is carrying
 
 
-def test_entries_are_freed_when_the_last_store_that_opened_the_instance_retires_it(
-    registry,
-):
+def test_a_message_leaves_the_table_once_no_live_store_holds_it(registry):
     index, (a, b, c) = _sharing(1, 2, 4)
     v = make_message(registry, 2, Kind.ECHO, INST, 1, 1, b"v")
     w = make_message(registry, 2, Kind.ECHO, INST, 1, 1, b"w")
     y = make_message(registry, 3, Kind.ECHO, INST, 1, 1, b"v")
     other = (0, 0, GROUP_MAIN, CHAN_BCAST, 2)
     z = make_message(registry, 3, Kind.ECHO, other, 1, 1, b"z")
-    for store, m in ((a, v), (a, y), (b, w), (c, z)):
+    for store, m in ((a, v), (a, y), (b, w), (b, y), (c, z)):
         assert store.admit(registry, m)[0] == "new"
-    assert index.opened[INST] == 2
-    for store in (a, c):  # c never opened the instance
-        store.retire(INST)
-        assert len(index.table) == 3 and all(m._slot for m in (v, w, y))
-        assert a.first(*v.slot()) is None and b.first(*w.slot()) is w
+    assert index.table[v.slot()] == [v, w]
+    a.retire(INST)
+    # v leaves at once, as only a held it; y stays while b holds it live
+    want = {w.slot(): w, y.slot(): y, z.slot(): z}
+    assert index.table == want and v._slot is None and y._slot is not None
+    assert a.first(*y.slot()) is None and b.first(*y.slot()) is y
+    c.retire(INST)  # c never opened the instance: no holder changes
+    assert index.table == want
     b.retire(INST)
-    # every entry of the instance goes, held in a retired log or not
-    assert list(index.table) == [z.slot()] and list(index.opened) == [other]
+    assert list(index.table) == [z.slot()]
     assert v._slot is None and w._slot is None and y._slot is None
     assert z._slot is not None
-    assert retired_view(a, INST) == [v, y] and retired_view(b, INST) == [w]
+    assert retired_view(a, INST) == [v, y] and retired_view(b, INST) == [y, w]
     assert retired_view(c, INST) == [] and index.logs[INST] == [1 | 2 | 4, v, y, w]
 
 
@@ -224,12 +218,12 @@ def test_a_late_equivocation_after_a_partial_retirement(registry):
         statuses.append(status)
         assert pof.encoding() == want
     assert statuses == ["conflict", "conflict"]
-    assert retired_view(a, INST) == [v] and b.instance_msgs(INST) == [v]
+    assert retired_view(a, INST) == [v] and b.by_instance[INST] == [v]
     # a new slot of the retired instance joins the log, not the shared table
     y = make_message(registry, 3, Kind.ECHO, INST, 1, 1, b"v")
     assert a.admit(registry, y) == ("new", None)
     assert retired_view(a, INST) == [v, y] and INST not in a.by_instance
-    assert list(index.table) == [v.slot()] and index.opened[INST] == 1
+    assert list(index.table) == [v.slot()]
     assert y._slot is None and b.admit(registry, y) == ("new", None)
 
 
@@ -308,14 +302,17 @@ def _check_shared_logs(index, stores, private, dropped, pool):
         assert {id(m) for m in everything if m.instance == iid and m._held & mask} == set(
             map(id, listed)
         )
-    for iid in (INST, OTHER):
-        holders = sum(iid in s.by_instance for i, s in enumerate(stores) if i not in dropped)
-        assert index.opened.get(iid, 0) == holders
-        if not holders:  # a message some store keeps for it keeps no slot key
-            assert all(m._slot is None for m in everything if m.instance == iid and m._held)
+    # the table lists exactly the messages some store that has not retired
+    # their instance holds, each once under its own slot key, and no other
+    # held message keeps a slot key
+    live = {id(m) for m in everything if m._held & ~index.logs.get(m.instance, [0])[0]}
+    listed = []
     for key, entry in index.table.items():
-        assert key[1] in index.opened
-        assert all(v._held for v in (entry if entry.__class__ is list else [entry]))
+        variants = entry if entry.__class__ is list else [entry]
+        assert all(v._slot == key for v in variants)
+        listed += map(id, variants)
+    assert sorted(listed) == sorted(live)
+    assert all(m._slot is None for m in everything if m._held and id(m) not in live)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -342,6 +339,12 @@ def _check_shared_logs(index, stores, private, dropped, pool):
         ("admit", 4, 0, [0, 1, 2]),
     ]
 )
+# a message one store holds live and another keeps in its log leaves the
+# table as soon as the live store upgrades it away, or is itself released
+@example([("admit", 0, 0, [0, 1]), ("retire", INST, [0]), ("admit", 0, 2, [1])])
+@example([("admit", 0, 0, [0, 1]), ("retire", INST, [0]), ("release", 1)])
+# and leaves the log as soon as the store that logged it upgrades it away
+@example([("admit", 0, 0, [0, 1]), ("retire", INST, [0]), ("admit", 0, 2, [0])])
 def test_shared_logs_admit_as_private_stores_would(registry, steps):
     index, stores = _sharing(1, 2, 4)
     pool = _slot_variants(registry)
@@ -376,6 +379,44 @@ def test_shared_logs_admit_as_private_stores_would(registry, steps):
             stores[step[1]].release()
             dropped.add(step[1])
             _check_shared_logs(index, stores, private, dropped, pool)
+
+
+STOCK = Path(__file__).resolve().parent.parent / "scenarios"
+# laggards that never catch up after the repair: every seed ends at the horizon
+STALLED_FORK = replace(
+    fork_scenario("binary-fork", n=9, d=4), heights=3, pool=4, horizon_ms=300_000
+)
+# the coalition is excluded before height 1 decides, and the pool refills it
+SHORT_POOL_FORK = replace(fork_scenario("binary-fork", n=12, d=5), heights=3, pool=5)
+ORACLE = [
+    pytest.param(load_scenario(path), 1, id=path.stem)
+    for path in sorted(STOCK.glob("*.json"))
+    if path.stem != "llb-n9"
+]
+ORACLE += [pytest.param(llb_scenario(heights=12), 1, id="llb-h12")]
+ORACLE += [
+    pytest.param(scn, seed, id="%s-s%d" % (name, seed))
+    for name, scn in (("stalled-fork", STALLED_FORK), ("short-pool-fork", SHORT_POOL_FORK))
+    for seed in (1, 2)
+]
+ORACLE += [
+    pytest.param(scn, seed, id="%s-s%d" % (scn.name, seed), marks=pytest.mark.slow)
+    for scn in (clean_scenario(30), llb_scenario())
+    for seed in (1, 2)
+]
+
+
+@pytest.mark.parametrize("scn, seed", ORACLE)
+def test_shared_indexes_give_the_records_private_ones_give(scn, seed):
+    """The differential oracle for the shared slot index: one run as it is,
+    one with every store on an index of its own."""
+    want = canonical_record(run_scenario(scn, seed).record)
+    with private_index():
+        outcome = run_scenario(scn, seed)
+    # the reference run never touched the network's shared index
+    index = outcome.world.net.slot_index
+    assert index.table == {} and index.logs == {}
+    assert canonical_record(outcome.record) == want
 
 
 @pytest.mark.parametrize(

@@ -335,6 +335,11 @@ def test_run_rejects_broken_scenarios(capsys, tmp_path):
     assert code == EX_SCENARIO
     assert "required field missing" in err
 
+    bad.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    code, _, err = run_cli(capsys, "run", "--scenario", str(bad))
+    assert code == EX_SCENARIO
+    assert err.startswith("scenario error:") and "json:" in err
+
 
 @pytest.mark.parametrize(
     ("fields", "diagnostic"),

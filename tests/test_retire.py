@@ -69,7 +69,7 @@ def _retired_world():
         assert ctxs[pid].inert()
         core.retire_inert()
         assert core.contexts == {} and core.routes == {} and core.store.slots == {}
-    assert net.slot_index.table == {} and net.slot_index.opened == {}
+    assert net.slot_index.table == {}
     return net, reg, cores, ctxs, list(held.values())
 
 
@@ -267,9 +267,11 @@ def test_messages_of_instances_no_store_holds_live_keep_no_slot_key(llb_world):
     retired = [m for store in stores for iid in logs for m in retired_view(store, iid)]
     assert len(retired) > 10 * len(set(map(id, held)))
     assert all(m._slot is None for m in retired if m.instance not in live)
+    # and, per message, one that only logs keep has no key either
+    live_held = set(map(id, held))
+    assert all(m._slot is None for m in retired if id(m) not in live_held)
     # the shared table indexes exactly the slots some store holds live
     assert set(world.net.slot_index.table) == {m.slot() for m in held}
-    assert set(world.net.slot_index.opened) == live
     # the network keeps one log per retired instance, each message in it once
     assert sum(len(log) - 1 for log in logs.values()) == len(set(map(id, retired)))
     # and one tuple per instance id, shared by every core's contexts and by

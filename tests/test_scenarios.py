@@ -150,6 +150,13 @@ def test_load_scenario_reports_json_problems(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ScenarioError, match="top level must be an object"):
         load_scenario(path)
+    # neither bytes that are not UTF-8 nor nesting past the parser's depth
+    # escapes as a traceback
+    for text in (b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000):
+        path.write_bytes(text)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.problems[0].startswith("json:")
 
 
 def test_load_scenario_round_trips_through_json(tmp_path):
