@@ -58,6 +58,8 @@ def max_branches(n: int, h: int, dt: int) -> int:
     Each branch needs h votes of which at most dt repeat across branches, so
     a branches need a*(h - dt) + dt <= n honest-and-faulty slots.
     """
+    if dt < 0:
+        raise ValueError("equivocators dt must be >= 0")
     if dt >= h:
         raise ValueError("agreement threshold overwhelmed")
     return max(1, (n - dt) // (h - dt))
@@ -67,6 +69,8 @@ def conservative_branches(delta: Ratio, h_ratio: Ratio = Fraction(2, 3)) -> int:
     """Ceiling variant of the branch bound on ratios, used for deposit sizing."""
     delta = as_fraction(delta)
     h_ratio = as_fraction(h_ratio)
+    if delta < 0 or not Fraction(1, 2) < h_ratio <= 1:
+        raise ValueError("branches need delta >= 0 and h_ratio in (1/2, 1]")
     if delta >= h_ratio:
         raise ValueError("agreement threshold overwhelmed")
     return max(1, math.ceil((1 - delta) / (h_ratio - delta)))

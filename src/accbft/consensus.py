@@ -20,7 +20,6 @@ apart and checked against what we stored locally.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Optional
@@ -77,8 +76,8 @@ class MessageStore:
     A slot is (kind, instance, round, phase, signer).  A second verified
     message on an occupied slot with a different payload convicts the signer
     (for the kinds where a double-send is equivocation rather than a relay).
-    A duplicate that carries a certificate when the stored copy has none
-    upgrades the stored copy in place: justifications travel lazily.
+    While the instance is live, a duplicate that carries a certificate when
+    the stored copy has none replaces it: justifications travel lazily.
 
     ``by_instance`` lists each live instance's messages in this store's
     first-admission order, which ``group``, ``quorum_cert``, the instances'
@@ -94,7 +93,7 @@ class MessageStore:
     new copy on an upgrade, so the store finds its own variant in the table
     by its bit, and ``m._held & store.mark`` tells whether it holds m itself
     without hashing the slot.  Stores that share an index need distinct
-    marks.  ``slots`` is a read-only view of this store's part of the table.
+    marks.  ``slots`` builds a fresh dict of this store's live messages.
 
     ``retire(iid)`` takes an instance whose state machine can no longer act
     out of ``by_instance`` and into the network's one log of it
@@ -104,12 +103,14 @@ class MessageStore:
     log lists each such message any of these stores holds once, and a
     store's part of it is the messages that carry the store's mark.  A READY
     or a DECISION is dropped at retirement: the store clears its mark on it.
-    Admission still finds a conflict, a duplicate or an upgrade in the
-    store's part by scanning the log, so a late equivocation yields the same
-    proof of fraud as before.  A new conflict-eligible message for a retired
-    instance joins the log, never the table.  A late READY or DECISION is
-    reported "new" and kept nowhere, so the caller walks its certificate as
-    on first sight, and an equivocating inner still convicts its signer.
+    The log is evidence only.  Admission finds a conflict or a duplicate in
+    the store's part by scanning it, so a late equivocation yields the same
+    proof of fraud as before, and never edits a listed message.  A new
+    conflict-eligible message for a retired instance joins the log, never
+    the table.  A late READY or DECISION, and a certified copy of a listed
+    message, is reported "new" and kept nowhere, so the caller walks its
+    certificate as on first sight, and an equivocating inner still convicts
+    its signer.
 
     One rule ties the table to the marks: a message is in the table, and
     keeps its cached slot key (``SignedMessage.slot()``), exactly while a
@@ -127,9 +128,9 @@ class MessageStore:
         self.mark = mark
 
     @property
-    def slots(self) -> "HeldSlots":
-        """This store's live messages by slot key, read-only."""
-        return HeldSlots(self)
+    def slots(self) -> dict:
+        """A fresh {slot key: message} dict of this store's live messages."""
+        return {m.slot(): m for held in self.by_instance.values() for m in held}
 
     def group(
         self, kind: int, iid: InstanceId, round: int, phase: int
@@ -226,40 +227,32 @@ class MessageStore:
                 return "new", None
         if prev.payload != msg.payload:
             return "conflict", derive_pof(registry, prev, msg)
-        if msg.certificate and not prev.certificate:
-            prev._held &= ~mark
-            msg._held |= mark
-            if not mask & mark:
-                # msg takes prev's place here and in the entry, which keeps
-                # prev too while a live store still holds it
-                held = self.by_instance[msg.instance]
-                held[held.index(prev)] = msg
-                kept = prev._held & ~mask
-                if not kept:
-                    prev._slot = None
-                if entry is prev:
-                    table[key] = [prev, msg] if kept else msg
-                else:
-                    if msg not in entry:
-                        entry.append(msg)
-                    if not kept:
-                        entry.remove(prev)
-                        if len(entry) == 1:
-                            table[key] = entry[0]
-            else:
-                # the live stores' holdings do not change, so neither does
-                # the table: the log lists msg unless another store that
-                # retired the instance already does, and keeps prev only
-                # while such a store holds it
-                others = mask & ~mark
-                if not msg._held & others:
-                    log.append(msg)
-                    if not msg._held & ~mask:
-                        msg._slot = None
-                if not prev._held & others:
-                    log.remove(prev)
-            return "upgraded", None
-        return "dup", None
+        if not msg.certificate or prev.certificate:
+            return "dup", None
+        if mask & mark:
+            # a retired log is evidence only, and a kept certificate convicts
+            # no one: the copy is new and kept nowhere, so the caller walks
+            # its certificate
+            return "new", None
+        # msg takes prev's place here and in the entry, which keeps prev too
+        # while a live store still holds it
+        prev._held &= ~mark
+        msg._held |= mark
+        held = self.by_instance[msg.instance]
+        held[held.index(prev)] = msg
+        kept = prev._held & ~mask
+        if not kept:
+            prev._slot = None
+        if entry is prev:
+            table[key] = [prev, msg] if kept else msg
+        else:
+            if msg not in entry:
+                entry.append(msg)
+            if not kept:
+                entry.remove(prev)
+                if len(entry) == 1:
+                    table[key] = entry[0]
+        return "upgraded", None
 
     def _unindex(self, m: SignedMessage) -> None:
         """Take a message no live store holds any more out of the table, and
@@ -319,30 +312,6 @@ class MessageStore:
                 self.logs[iid] = kept
             else:
                 del self.logs[iid]
-
-
-class HeldSlots(Mapping):
-    """A read-only view of one store's live slot index: slot key -> the
-    message the store holds for it, in first-admission order per instance."""
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: MessageStore) -> None:
-        self._store = store
-
-    def __getitem__(self, key: tuple) -> SignedMessage:
-        m = self._store.first(*key)
-        if m is None:
-            raise KeyError(key)
-        return m
-
-    def __iter__(self):
-        for held in self._store.by_instance.values():
-            for m in held:
-                yield m.slot()
-
-    def __len__(self) -> int:
-        return sum(map(len, self._store.by_instance.values()))
 
 
 class NodeCore:

@@ -113,9 +113,10 @@ def catch_up(registry, blocks: list[dict]) -> int:
 
 
 def _copy_chain(chain: list[dict]) -> list[dict]:
-    """The chain with every block record, and its mutable bits map, copied;
-    the rest of a record (tuples, bytes, messages) is never written."""
-    return [dict(block, bits=dict(block["bits"])) for block in chain]
+    """The chain with every block record copied, since a confirmation sets a
+    record's ``confirm``; its values (tuples, bytes, messages) are never
+    written."""
+    return [dict(block) for block in chain]
 
 
 class AsmrProcess:
@@ -156,6 +157,9 @@ class AsmrProcess:
         self.phase = "idle"  # idle | main | exclusion | inclusion | done | failed
         self.failure: Optional[str] = None
         self.pofs: dict[tuple, Pof] = {}
+        # when the proofs first named as many ids as trigger a repair
+        self.detected_at: Optional[int] = None
+        self._detect_ids = fraud_trigger_threshold(len(self.members), h0)
         self.chain: list[dict] = []
         self.changes: list[dict] = []
         self.main_ctx: Optional[MultiContext] = None
@@ -212,7 +216,6 @@ class AsmrProcess:
             "height": self.height,
             "attempt": ctx.key[1],
             "block": ctx.decision,
-            "bits": dict(ctx.bits),
             "committee": tuple(ctx.committee.initial),
             "h": ctx.committee.h,
             "cert": ctx.decision_cert,
@@ -258,6 +261,9 @@ class AsmrProcess:
             # the core's recheck pass that follows re-evaluates every vote
             update_committee(self.change_committee, stored)
         self._maybe_trigger()
+        if self.detected_at is None:
+            if len({p.accused for p in self.pofs.values()}) >= self._detect_ids:
+                self.detected_at = self.core.now()
 
     def _maybe_trigger(self) -> None:
         if self.phase != "main" or not self.joined:

@@ -670,7 +670,6 @@ class World:
                 self.net.attacker_pids.add(pid)
 
         self.procs: dict[int, AsmrProcess] = {}
-        self.detect_at: dict[int, int] = {}
         regular = [p for p in self.members if p not in brain_pids]
         for pid in regular:
             self._build_process(pid, joined=True)
@@ -740,8 +739,6 @@ class World:
         proc.invite_hook = self._invite
         self.procs[pid] = proc
         self.net.add_host(pid, proc.core)
-        if pid in self.roles.honest:
-            self._watch_detection(pid, proc.core, proc)
 
     def _block_entry(self, blob: bytes) -> tuple[Optional[Block], bool]:
         """The decoded block (None if it does not decode) and whether it
@@ -807,18 +804,6 @@ class World:
             if proc is not None and not proc.joined:
                 proc.join(snapshot)
 
-    def _watch_detection(self, pid: int, core: NodeCore, proc: AsmrProcess) -> None:
-        inner = core.on_new_pofs
-
-        def hook(stored, newly_excluded):
-            inner(stored, newly_excluded)
-            if pid not in self.detect_at:
-                accused = {p.accused for p in proc.pofs.values()}
-                if len(accused) >= self.fraud_threshold:
-                    self.detect_at[pid] = self.net.now
-
-        core.on_new_pofs = hook
-
     def _wire_faults(self) -> None:
         scn = self.scn
         if self.roles.benign:
@@ -882,6 +867,7 @@ class World:
             for rec in self.procs[pid].chain:
                 by_height.setdefault(rec["height"], {})[pid] = rec["block"]
         heights_done = {pid: len(self.procs[pid].chain) for pid in honest}
+        detected = {pid: self.procs[pid].detected_at for pid in sorted(honest)}
         done_min = min(heights_done.values()) if heights_done else 0
 
         agreed = disagreements = 0
@@ -991,11 +977,9 @@ class World:
                 str(p): sorted({pof.accused for pof in self.procs[p].pofs.values()})
                 for p in honest
             },
-            "detect_ticks": {str(p): t for p, t in sorted(self.detect_at.items())},
+            "detect_ticks": {str(p): t for p, t in detected.items() if t is not None},
             "time_to_detect_ticks": (
-                max(self.detect_at[p] for p in honest)
-                if honest and all(p in self.detect_at for p in honest)
-                else None
+                max(detected.values()) if honest and None not in detected.values() else None
             ),
             "messages": {
                 "total": stats.sends,

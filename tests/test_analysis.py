@@ -72,8 +72,24 @@ def test_conservative_branches_table(delta, expected):
 
 def test_conservative_branches_other_threshold_ratio():
     assert conservative_branches("0.5", "0.75") == 2
+    # the ends of the domain: no deceit, and a unanimous threshold
+    assert conservative_branches("0") == 2 and conservative_branches("0.5", "1") == 1
     with pytest.raises(ValueError, match="agreement threshold overwhelmed"):
         conservative_branches("2/3")
+
+
+def test_max_branches_rejects_a_negative_fault_count():
+    with pytest.raises(ValueError, match="dt must be >= 0"):
+        max_branches(9, 6, -1)
+    assert max_branches(9, 6, 0) == 1
+
+
+@pytest.mark.parametrize(
+    "delta,h_ratio", [("-0.5", "2/3"), ("-1/100", "2/3"), ("0.5", "2"), ("0.4", "1/2"), ("0", "0")]
+)
+def test_conservative_branches_rejects_ratios_out_of_domain(delta, h_ratio):
+    with pytest.raises(ValueError, match=r"h_ratio in \(1/2, 1\]"):
+        conservative_branches(delta, h_ratio)
 
 
 @pytest.mark.parametrize(

@@ -264,8 +264,9 @@ def _slot_variants(registry):
 
 
 def _private_admit(registry, held, retired, slot, msg):
-    """The reference: a store that keeps its own {slot: message}, and keeps
-    nothing of a kind that cannot convict for an instance it retired."""
+    """The reference: a store that keeps its own {slot: message}, keeps
+    nothing of a kind that cannot convict for an instance it retired, and
+    never replaces what it keeps for one."""
     if slot[1] in retired and slot[0] not in CONFLICT_ELIGIBLE:
         return "new", None
     prev = held.get(slot)
@@ -275,6 +276,8 @@ def _private_admit(registry, held, retired, slot, msg):
     if prev.payload != msg.payload:
         return "conflict", derive_pof(registry, prev, msg)
     if msg.certificate and not prev.certificate:
+        if slot[1] in retired:
+            return "new", None
         held[slot] = msg
         return "upgraded", None
     return "dup", None
@@ -343,8 +346,9 @@ def _check_shared_logs(index, stores, private, dropped, pool):
 # table as soon as the live store upgrades it away, or is itself released
 @example([("admit", 0, 0, [0, 1]), ("retire", INST, [0]), ("admit", 0, 2, [1])])
 @example([("admit", 0, 0, [0, 1]), ("retire", INST, [0]), ("release", 1)])
-# and leaves the log as soon as the store that logged it upgrades it away
-@example([("admit", 0, 0, [0, 1]), ("retire", INST, [0]), ("admit", 0, 2, [0])])
+# a certified copy of a logged message is new to the store that logged it,
+# and kept nowhere
+@example([("admit", 0, 0, [0]), ("retire", INST, [0]), ("admit", 0, 2, [0])])
 def test_shared_logs_admit_as_private_stores_would(registry, steps):
     index, stores = _sharing(1, 2, 4)
     pool = _slot_variants(registry)

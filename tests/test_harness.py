@@ -189,6 +189,11 @@ def test_analyze_rejects_bad_requests(capsys):
         # no depth at all pays for a fork without a deposit
         (("blockdepth", "--a", "3", "--b", "0"), EX_USAGE, "no finite blockdepth for deposit"),
         (("blockdepth", "--a", "3", "--b", "-1"), EX_SCENARIO, "deposit factor >= 0"),
+        # the branch bounds take no negative fault count or ratio, and a
+        # threshold ratio in (1/2, 1] as _check_h does
+        (("branches", "--n", "9", "--dt", "-1"), EX_SCENARIO, "dt must be >= 0"),
+        (("branches", "--delta", "-0.5"), EX_SCENARIO, "h_ratio in (1/2, 1]"),
+        (("branches", "--delta", "0.5", "--h-ratio", "2"), EX_SCENARIO, "h_ratio in (1/2, 1]"),
     ],
 )
 def test_analyze_rejects_out_of_domain_input(capsys, argv, code, diagnostic):

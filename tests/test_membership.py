@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from accbft.crypto import CHAN_BCAST, GROUP_MAIN
 from accbft.membership import (
+    AsmrProcess,
     catch_up,
     decode_id_list,
     encode_id_list,
@@ -15,6 +17,7 @@ from accbft.membership import (
     round_robin_choose,
 )
 from accbft.scenarios import clean_scenario, fork_scenario, run_scenario, spam_scenario
+from conftest import fraud_proof, mini_world
 
 
 @pytest.mark.parametrize("n,h0,expected", [(4, 3, 2), (9, 6, 3), (9, 7, 5), (12, 8, 4)])
@@ -133,6 +136,27 @@ def test_catch_up_accepts_confirmation_quorums():
     chain = world.procs[2].chain
     assert chain and chain[0].get("confirm")
     assert catch_up(world.registry, chain) == 1
+
+
+def test_detection_is_stamped_by_the_crossing_proofs_and_never_moves():
+    # n=4, h0=3: proofs against 2 distinct ids detect the fork; an idle
+    # process counts them without starting a repair
+    net, reg, cores = mini_world(4)
+    proc = AsmrProcess(cores[1], range(1, 5), h0=3, h_prime0=4)
+    assert fraud_trigger_threshold(4, 3) == 2
+    steps = [
+        [fraud_proof(reg, 2)],
+        [fraud_proof(reg, 2, instance=(1, 0, GROUP_MAIN, CHAN_BCAST, 2))],  # the same id
+        [fraud_proof(reg, 3)],
+        [fraud_proof(reg, 4)],
+    ]
+    stamps = []
+    for tick, pofs in enumerate(steps, start=1):
+        net.now = 10 * tick
+        cores[1].ingest_pofs(pofs)
+        stamps.append(proc.detected_at)
+    assert len(proc.pofs) == 4 and proc.phase == "idle"
+    assert stamps == [None, None, 30, 30]
 
 
 def test_spam_run_recovers_by_exclusion():

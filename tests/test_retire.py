@@ -139,24 +139,35 @@ def test_a_late_equivocation_on_a_retired_slot_is_convicted():
     assert not core.committee.is_active(2)
 
 
-def test_a_certified_duplicate_upgrades_the_retired_copy():
+def test_a_certified_copy_of_a_retired_message_is_new_and_kept_nowhere():
+    # a retired log is evidence only: the copy's certificate is walked, so an
+    # equivocating inner still convicts its signer, but nothing is kept
     reg, core, _ = _retired_core()
     iid = (0, 0, GROUP_MAIN, CHAN_BCAST, 3)
-    log = retired_view(core.store, iid)
-    bare = next(m for m in log if m.kind == Kind.ECHO and not m.certificate)
-    inner = make_message(reg, 4, Kind.ECHO, iid, 1, 1, bare.payload)
+    log = list(core.store.logs[iid])
+    marks = [m._held for m in log[1:]]
+    echoes = [m for m in retired_view(core.store, iid) if m.kind == Kind.ECHO]
+    bare = echoes[0]
+    logged = next(m for m in echoes if m.signer != bare.signer)
+    assert not bare.certificate
+    inner = make_message(
+        reg, logged.signer, Kind.ECHO, iid, logged.round, logged.phase, b"not " + logged.payload
+    )
     carrying = make_message(
         reg, bare.signer, bare.kind, iid, bare.round, bare.phase, bare.payload, (inner,)
     )
-    assert core.store.admit(reg, carrying) == ("upgraded", None)
-    upgraded = retired_view(core.store, iid)
-    assert upgraded.count(carrying) == 1 and bare not in upgraded
-    assert len(upgraded) == len(log) == len(set(map(id, upgraded)))
-    mark = core.store.mark
-    assert carrying._held & mark and not bare._held & mark
-    assert core.store.admit(reg, bare) == ("dup", None)
+    for _ in range(2):
+        assert core.store.admit(reg, carrying) == ("new", None)
+    core.deliver_frame(bare.signer, carrying)
+    assert core.metrics.pofs_recorded == 1
+    assert not core.committee.is_active(logged.signer)
+    assert core.committee.is_active(bare.signer)
+    after = core.store.logs[iid]
+    assert after[0] == log[0] and list(map(id, after[1:])) == list(map(id, log[1:]))
+    assert [m._held for m in log[1:]] == marks
+    assert carrying._held == inner._held == 0
     assert core.store.slots == {}
-    assert _keyless(core.store) and bare._slot is None
+    assert _keyless(core.store) and carrying._slot is None and inner._slot is None
 
 
 def test_a_new_message_for_a_retired_instance_is_stored_but_not_acted_on(monkeypatch):
