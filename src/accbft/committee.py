@@ -2,17 +2,18 @@
 
 A committee starts from an ordered member list with an initial threshold h0 and
 lowers the live threshold by one for every member convicted of equivocation at
-runtime: h(d_r) = h0 - d_r.  Exclusions made this way are local to the running
-consensus instance; durable removal is the membership layer's job.
+runtime: h(d_r) = h0 - d_r.  It records only who is excluded; the proofs live
+once per process, in ``NodeCore.pofs``.  Exclusions made this way are local to
+the running consensus instance; durable removal is the membership layer's job.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .crypto import KeyRegistry, Pof, verify_pof
+from .crypto import Pof
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,6 @@ class Committee:
     initial: tuple[int, ...]
     h0: int
     local_deceitful: set[int] = field(default_factory=set)
-    local_pofs: dict[tuple, Pof] = field(default_factory=dict)
     _initial_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,30 +100,10 @@ def mask_members(mask: int) -> list[int]:
     return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
-def update_committee(
-    c: Committee,
-    new_pofs: Iterable[Pof],
-    registry: Optional[KeyRegistry] = None,
-) -> tuple[Committee, set[int], list[Pof]]:
-    """Fold fresh fraud proofs into the committee.
-
-    Returns the committee, the set of members newly excluded by these proofs,
-    and the deduplicated proofs worth relaying.  Invalid proofs are dropped;
-    the caller is responsible for re-checking phase termination and resetting
-    its current timer afterwards.
-    """
-    newly: set[int] = set()
-    to_broadcast: list[Pof] = []
-    for pof in new_pofs:
-        if registry is not None and not verify_pof(registry, pof):
-            continue
-        key = pof.key()
-        if key in c.local_pofs:
-            continue
-        c.local_pofs[key] = pof
-        to_broadcast.append(pof)
-        pid = pof.accused
-        if pid in c.initial and pid not in c.local_deceitful:
-            c.local_deceitful.add(pid)
-            newly.add(pid)
-    return c, newly, to_broadcast
+def update_committee(c: Committee, pofs: Iterable[Pof]) -> None:
+    """Exclude every member of ``c`` that one of the verified proofs accuses;
+    other accused ids are ignored, and a repeated call changes nothing.  The
+    caller re-checks phase termination and resets its timer afterwards."""
+    for pof in pofs:
+        if pof.accused in c._initial_set:
+            c.local_deceitful.add(pof.accused)

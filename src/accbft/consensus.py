@@ -46,6 +46,7 @@ from .crypto import (
     pofs_payload,
     quorum_valid,
     verify_message,
+    verify_pof,
 )
 from .simnet import SlotIndex
 
@@ -341,8 +342,11 @@ class NodeCore:
         # confirmation echo's id maps to (context, None)
         self.routes: dict[InstanceId, tuple["MultiContext", object]] = {}
         self._seen_bundles: set[bytes] = set()
-        # hooks wired by the membership layer / scenario drivers
-        self.on_new_pofs: Optional[Callable] = None  # (fresh_pofs, newly_excluded)
+        # every verified proof of fraud this process holds, by Pof.key()
+        self.pofs: dict[tuple, Pof] = {}
+        # wired by the membership layer: called with the proofs one intake
+        # added to ``pofs``, after the committee and before the recheck
+        self.on_new_pofs: Optional[Callable[[list[Pof]], None]] = None
 
     # ---------------------------------------------------------------- signing
 
@@ -520,23 +524,26 @@ class NodeCore:
     # ---------------------------------------------------- fraud-proof intake
 
     def ingest_pofs(self, pofs: Iterable[Pof]) -> None:
-        _, newly, stored = update_committee(self.committee, pofs, self.registry)
-        if stored:
-            self.metrics.pofs_recorded += len(stored)
-            env = self.sign(
-                Kind.POF_LIST,
-                GLOBAL_INSTANCE,
-                0,
-                0,
-                pofs_payload(stored),
-                pofs=tuple(stored),
-            )
-            self.emit(env, self.committee)
-        if stored or newly:
-            if self.on_new_pofs is not None:
-                self.on_new_pofs(stored, newly)
-            for ctx in list(self.contexts.values()):
-                ctx.recheck()
+        """Keep each proof not held yet that verifies, exclude its accused,
+        relay the new proofs to the members left and recheck every context."""
+        stored: list[Pof] = []
+        for pof in pofs:
+            key = pof.key()
+            if key not in self.pofs and verify_pof(self.registry, pof):
+                self.pofs[key] = pof
+                stored.append(pof)
+        if not stored:
+            return
+        update_committee(self.committee, stored)
+        self.metrics.pofs_recorded += len(stored)
+        env = self.sign(
+            Kind.POF_LIST, GLOBAL_INSTANCE, 0, 0, pofs_payload(stored), pofs=tuple(stored)
+        )
+        self.emit(env, self.committee)
+        if self.on_new_pofs is not None:
+            self.on_new_pofs(stored)
+        for ctx in list(self.contexts.values()):
+            ctx.recheck()
 
     # ------------------------------------------------- instance callbacks
 

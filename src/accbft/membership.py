@@ -156,7 +156,6 @@ class AsmrProcess:
         self.changes_done = 0
         self.phase = "idle"  # idle | main | exclusion | inclusion | done | failed
         self.failure: Optional[str] = None
-        self.pofs: dict[tuple, Pof] = {}
         # when the proofs first named as many ids as trigger a repair
         self.detected_at: Optional[int] = None
         self._detect_ids = fraud_trigger_threshold(len(self.members), h0)
@@ -179,17 +178,16 @@ class AsmrProcess:
         assert self.phase == "idle" and self.joined
         self._start_main()
 
-    def _main_committee(self) -> Committee:
-        com = Committee(initial=tuple(self.members), h0=self.h0)
-        live = [p for p in self.pofs.values() if p.accused in com.initial]
-        if live:
-            update_committee(com, live)
+    def _committee(self, h0: int) -> Committee:
+        """The members at threshold h0, less every one a held proof accuses."""
+        com = Committee(initial=tuple(self.members), h0=h0)
+        update_committee(com, self.core.pofs.values())
         return com
 
     def _start_main(self) -> None:
         self.core.retire_inert()
         self.phase = "main"
-        com = self._main_committee()
+        com = self._committee(self.h0)
         self.core.committee = com
         ctx = MultiContext(
             self.core,
@@ -248,21 +246,16 @@ class AsmrProcess:
 
     def _accused_members(self) -> set[int]:
         members = set(self.members)
-        return {p.accused for p in self.pofs.values() if p.accused in members}
+        return {p.accused for p in self.core.pofs.values() if p.accused in members}
 
-    def _on_new_pofs(self, stored: list[Pof], newly_excluded: set[int]) -> None:
-        for p in stored:
-            self.pofs[p.key()] = p
-        if self.change_committee is not None and self.phase in (
-            "exclusion",
-            "inclusion",
-        ):
+    def _on_new_pofs(self, stored: list[Pof]) -> None:
+        if self.change_committee is not None and self.phase in ("exclusion", "inclusion"):
             # a fresh proof mid-repair shrinks the working committee too;
             # the core's recheck pass that follows re-evaluates every vote
             update_committee(self.change_committee, stored)
         self._maybe_trigger()
         if self.detected_at is None:
-            if len({p.accused for p in self.pofs.values()}) >= self._detect_ids:
+            if len({p.accused for p in self.core.pofs.values()}) >= self._detect_ids:
                 self.detected_at = self.core.now()
 
     def _maybe_trigger(self) -> None:
@@ -279,8 +272,7 @@ class AsmrProcess:
         self._trigger_at = self.core.now()
         if self.main_ctx is not None:
             self.main_ctx.stop()
-        com = Committee(initial=tuple(self.members), h0=self.h_prime0)
-        update_committee(com, list(self.pofs.values()))
+        com = self._committee(self.h_prime0)
         self.change_committee = com
         ctx = MultiContext(
             self.core,
@@ -293,7 +285,7 @@ class AsmrProcess:
         ctx.on_decided = self._on_exclusion_decided
         self.excl_ctx = ctx
         self.core.register_context(ctx)
-        mine = [p for p in self.pofs.values() if p.accused in set(self.members)]
+        mine = [p for p in self.core.pofs.values() if p.accused in set(self.members)]
         ctx.start(encode_pof_list(mine))
 
     def _valid_pof_set(self, source: int, value: bytes) -> bool:
@@ -319,7 +311,7 @@ class AsmrProcess:
                 continue  # an invalid set can't have passed honest validation
             for p in pofs:
                 if verify_pof(self.core.registry, p):
-                    self.pofs.setdefault(p.key(), p)
+                    self.core.pofs.setdefault(p.key(), p)
                     accused.add(p.accused)
         excluded = sorted(accused & set(self.members))
         self.members = [m for m in self.members if m not in excluded]
@@ -427,7 +419,7 @@ class AsmrProcess:
             "changes_done": self.changes_done,
             "members": list(self.members),
             "chain": _copy_chain(self.chain),
-            "pofs": dict(self.pofs),
+            "pofs": dict(self.core.pofs),
             "pool_used": set(self.pool_used),
         }
 
@@ -441,7 +433,7 @@ class AsmrProcess:
         self.changes_done = snapshot["changes_done"]
         self.members = list(snapshot["members"])
         self.chain = _copy_chain(snapshot["chain"])
-        self.pofs = dict(snapshot["pofs"])
+        self.core.pofs = dict(snapshot["pofs"])
         self.pool_used = set(snapshot["pool_used"])
         self.joined = True
         if self.height >= self.max_heights:

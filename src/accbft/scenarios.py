@@ -286,8 +286,8 @@ SCHEMA = {
                    msg="must be a non-empty list of integers, at most %d of them" % MAX_SEEDS),
     "delay": Field("object", keys=_DELAY_KEYS, models=_DELAY_MODELS),
     "cross_delay": Field("object", keys=_DELAY_KEYS, models=_DELAY_MODELS, note="`delay`"),
-    "partitions": Field("list", item=Field("list", item=Field("int")),
-                        msg="must be a list of pid lists", note="no partitions"),
+    "partitions": Field("list", item=Field("list", 1, item=Field("int")),
+                        msg="must be a list of pid lists, each non-empty", note="no partitions"),
     "attack": Field("object", note="no adversary", keys={
         "kind": Field("enum", choices=("broadcast-fork", "binary-fork"), required=True),
         "targets": Field("int", 0, _MAX_PROCESSES, default=0),
@@ -849,7 +849,7 @@ class World:
                 blobs.update(self._decision_blocks(rec["block"]))
         ledgers = [self.ledgers[pid] for pid in self.roles.honest]
         for pid in self.roles.honest:
-            for accused in sorted({p.accused for p in self.procs[pid].pofs.values()}):
+            for accused in sorted({p.accused for p in self.procs[pid].core.pofs.values()}):
                 self.ledgers[pid].punish_account(accused)
         for blob in sorted(blobs):
             block = decode_block(blob)
@@ -868,6 +868,10 @@ class World:
                 by_height.setdefault(rec["height"], {})[pid] = rec["block"]
         heights_done = {pid: len(self.procs[pid].chain) for pid in honest}
         detected = {pid: self.procs[pid].detected_at for pid in sorted(honest)}
+        accused = {
+            str(p): sorted({pof.accused for pof in self.procs[p].core.pofs.values()})
+            for p in honest
+        }
         done_min = min(heights_done.values()) if heights_done else 0
 
         agreed = disagreements = 0
@@ -967,16 +971,8 @@ class World:
             },
             "ratio_trajectory": trajectory,
             "fraud_threshold": self.fraud_threshold,
-            "pof_counts": {
-                str(p): len(
-                    {pof.accused for pof in self.procs[p].pofs.values()}
-                )
-                for p in honest
-            },
-            "accused": {
-                str(p): sorted({pof.accused for pof in self.procs[p].pofs.values()})
-                for p in honest
-            },
+            "pof_counts": {p: len(ids) for p, ids in accused.items()},
+            "accused": accused,
             "detect_ticks": {str(p): t for p, t in detected.items() if t is not None},
             "time_to_detect_ticks": (
                 max(detected.values()) if honest and None not in detected.values() else None

@@ -1,20 +1,25 @@
-"""Shared fixtures: key material, a bare micro-network builder, a switch to
-stores with private slot indexes, and one small pre-run scenario whose
-outcome several test modules pick apart."""
+"""Shared fixtures: key material, proofs of fraud and probes of their intake,
+a bare micro-network builder, a switch to stores with private slot indexes,
+and one small pre-run scenario whose outcome several test modules pick
+apart."""
 
 from contextlib import contextmanager
 
 import pytest
 
+from accbft import consensus
 from accbft.committee import Committee, FaultProfile, default_h0
 from accbft.consensus import MessageStore, MultiContext, NodeCore, ProtoConfig
 from accbft.crypto import (
+    GLOBAL_INSTANCE,
     GROUP_MAIN,
     CHAN_BCAST,
     Kind,
     KeyRegistry,
     derive_pof,
     make_message,
+    pofs_payload,
+    verify_pof,
 )
 from accbft.ledger import Transaction, TxInput, TxOutput, sign_tx
 from accbft.scenarios import clean_scenario, run_scenario
@@ -36,6 +41,41 @@ def fraud_proof(registry, signer, salt=b"", instance=None):
     pof = derive_pof(registry, m1, m2)
     assert pof is not None
     return pof
+
+
+def pof_list(registry, signer, pofs):
+    """A proof list as ``signer`` relays it."""
+    return make_message(
+        registry, signer, Kind.POF_LIST, GLOBAL_INSTANCE, 0, 0, pofs_payload(pofs),
+        pofs=tuple(pofs),
+    )
+
+
+def pof_lists_sent(core):
+    """The proof lists the core sends from now on, as (destinations, pofs);
+    the destinations include the core itself, which the network skips."""
+    sent = []
+    send = core._send
+
+    def record(dsts, msg):
+        if msg.kind == Kind.POF_LIST:
+            sent.append((sorted(dsts), msg.pofs))
+        send(dsts, msg)
+
+    core._send = record
+    return sent
+
+
+def verify_pof_calls(monkeypatch):
+    """Every proof a core passes to verify_pof from now on."""
+    seen = []
+
+    def counted(registry, pof):
+        seen.append(pof)
+        return verify_pof(registry, pof)
+
+    monkeypatch.setattr(consensus, "verify_pof", counted)
+    return seen
 
 
 def double_spend_pair(registry, state, issuer, recipients, *, seq=0):

@@ -81,8 +81,8 @@ def test_committee_rejects_bad_construction():
 def test_threshold_tracks_exclusions(registry):
     c = Committee(initial=(1, 2, 3, 4, 5, 6, 7, 8, 9), h0=6)
     assert (c.n0, c.d_r, c.h) == (9, 0, 6)
-    update_committee(c, [fraud_proof(registry, 2)], registry)
-    update_committee(c, [fraud_proof(registry, 5)], registry)
+    update_committee(c, [fraud_proof(registry, 2)])
+    update_committee(c, [fraud_proof(registry, 5)])
     assert (c.d_r, c.h) == (2, 4)
     assert c.members == [1, 3, 4, 6, 7, 8, 9]
     assert c.is_active(1) and not c.is_active(2)
@@ -92,46 +92,33 @@ def test_threshold_tracks_exclusions(registry):
 def test_coordinator_rotates_over_initial_list(registry):
     c = Committee(initial=(3, 1, 4), h0=2)
     assert [c.coordinator(r) for r in (1, 2, 3, 4)] == [3, 1, 4, 3]
-    update_committee(c, [fraud_proof(registry, 1)], registry)
+    update_committee(c, [fraud_proof(registry, 1)])
     # an excluded member keeps its rotation slot; the round just loses its
     # coordinator help
     assert c.coordinator(2) == 1
 
 
-def test_update_committee_dedups_by_proof_key(registry):
+def test_update_committee_is_idempotent(registry):
     c = Committee(initial=(1, 2, 3, 4), h0=3)
     pof = fraud_proof(registry, 2)
-    c, newly, relay = update_committee(c, [pof, pof], registry)
-    assert newly == {2} and relay == [pof]
-    c, newly, relay = update_committee(c, [fraud_proof(registry, 2)], registry)
-    assert newly == set() and relay == []
+    update_committee(c, [pof, pof])
+    assert c.local_deceitful == {2} and c.h == 2
+    update_committee(c, [pof, fraud_proof(registry, 2, salt=b"again")])
+    assert c.local_deceitful == {2} and c.h == 2
 
 
-def test_update_committee_drops_forged_proofs(registry):
+def test_update_committee_counts_only_members(registry):
     c = Committee(initial=(1, 2, 3, 4), h0=3)
-    pof = fraud_proof(registry, 2)
-    pof.accused = 3  # reassigned blame no longer verifies
-    c, newly, relay = update_committee(c, [pof], registry)
-    assert newly == set() and relay == []
-    assert c.h == 3
-    # without a registry the caller has vouched for the proofs already
-    c, newly, _ = update_committee(c, [pof])
-    assert newly == {3}
-
-
-def test_update_committee_records_outsider_accusations(registry):
-    c = Committee(initial=(1, 2, 3, 4), h0=3)
-    pof = fraud_proof(registry, 9)
-    c, newly, relay = update_committee(c, [pof], registry)
-    assert newly == set() and relay == [pof]  # worth relaying, nothing to exclude
-    assert c.members == [1, 2, 3, 4] and c.h == 3
+    update_committee(c, [fraud_proof(registry, 9), fraud_proof(registry, 3)])
+    assert c.local_deceitful == {3}
+    assert c.members == [1, 2, 4] and c.h == 2
 
 
 @given(st.sets(st.integers(min_value=1, max_value=9), max_size=5))
 def test_live_threshold_drops_one_per_conviction(registry, convicted):
     c = Committee(initial=tuple(range(1, 10)), h0=6)
     for pid in sorted(convicted):
-        update_committee(c, [fraud_proof(registry, pid)], registry)
+        update_committee(c, [fraud_proof(registry, pid)])
     assert c.h == 6 - len(convicted)
     assert c.d_r == len(convicted)
     assert len(c.members) == 9 - len(convicted)

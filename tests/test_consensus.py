@@ -24,7 +24,6 @@ from accbft.crypto import (
     Kind,
     derive_pof,
     make_message,
-    pofs_payload,
     verify_message,
 )
 from accbft.scenarios import (
@@ -36,7 +35,16 @@ from accbft.scenarios import (
     run_scenario,
 )
 from accbft.simnet import SlotIndex
-from conftest import fraud_proof, mini_world, private_index, retired_view, start_contexts
+from conftest import (
+    fraud_proof,
+    mini_world,
+    pof_list,
+    pof_lists_sent,
+    private_index,
+    retired_view,
+    start_contexts,
+    verify_pof_calls,
+)
 
 INST = (0, 0, GROUP_MAIN, CHAN_BCAST, 1)
 
@@ -514,9 +522,7 @@ def test_pof_list_delivery_excludes_the_accused():
     _, reg, cores = mini_world(4)
     core = cores[1]
     pof = fraud_proof(reg, 3)
-    envelope = make_message(
-        reg, 2, Kind.POF_LIST, GLOBAL_INSTANCE, 0, 0, pofs_payload([pof]), pofs=(pof,)
-    )
+    envelope = pof_list(reg, 2, [pof])
     assert core.committee.is_active(3)
     core.deliver_frame(2, envelope)
     assert not core.committee.is_active(3)
@@ -527,6 +533,44 @@ def test_pof_list_delivery_excludes_the_accused():
     assert not core.committee.is_active(3)
     assert core.committee.d_r == 1
     assert core.metrics.pofs_recorded == 1
+
+
+def test_ingest_pofs_dedups_by_proof_key(monkeypatch):
+    _, reg, cores = mini_world(4)
+    core = cores[1]
+    sent, verified = pof_lists_sent(core), verify_pof_calls(monkeypatch)
+    pof = fraud_proof(reg, 2)
+    core.ingest_pofs([pof, pof])
+    assert core.pofs == {pof.key(): pof} and verified == [pof]
+    assert sent == [([1, 3, 4], (pof,))]  # the accused is left out already
+    # another proof for the same slot is held already: not even verified
+    core.ingest_pofs([fraud_proof(reg, 2, salt=b"again")])
+    assert core.pofs == {pof.key(): pof} and verified == [pof]
+    assert len(sent) == 1 and core.metrics.pofs_recorded == 1
+
+
+def test_ingest_pofs_drops_forged_proofs():
+    _, reg, cores = mini_world(4)
+    core = cores[1]
+    sent = pof_lists_sent(core)
+    pof = fraud_proof(reg, 2)
+    pof.accused = 3  # reassigned blame no longer verifies
+    core.ingest_pofs([pof])
+    assert core.pofs == {} and sent == []
+    assert core.committee.h == 3 and core.metrics.pofs_recorded == 0
+
+
+def test_ingest_pofs_keeps_an_outsider_proof_and_relays_it_once():
+    _, reg, cores = mini_world(4)
+    core = cores[1]
+    sent = pof_lists_sent(core)
+    reg.add(9)
+    pof = fraud_proof(reg, 9)
+    core.ingest_pofs([pof])
+    core.ingest_pofs([pof])
+    assert core.pofs == {pof.key(): pof}
+    assert sent == [([1, 2, 3, 4], (pof,))]  # worth relaying, nothing to exclude
+    assert core.committee.members == [1, 2, 3, 4] and core.committee.h == 3
 
 
 def test_conflicting_sends_convict_on_arrival():

@@ -427,6 +427,10 @@ def test_run_rejects_broken_scenarios(capsys, tmp_path):
             {"seeds": list(range(1, harness.MAX_SEEDS + 2))},
             "seeds: must be a non-empty list of integers, at most %d" % harness.MAX_SEEDS,
         ),
+        (
+            {"partitions": [[], [2, 3]]},
+            "partitions: must be a list of pid lists, each non-empty",
+        ),
     ],
 )
 def test_run_rejects_hostile_scenario_fields(capsys, tmp_path, fields, diagnostic):

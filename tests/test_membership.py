@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from accbft.crypto import CHAN_BCAST, GROUP_MAIN
+from accbft.crypto import CHAN_BCAST, GROUP_MAIN, encode_pof_list
 from accbft.membership import (
     AsmrProcess,
     catch_up,
@@ -17,7 +17,7 @@ from accbft.membership import (
     round_robin_choose,
 )
 from accbft.scenarios import clean_scenario, fork_scenario, run_scenario, spam_scenario
-from conftest import fraud_proof, mini_world
+from conftest import fraud_proof, mini_world, pof_list, pof_lists_sent, verify_pof_calls
 
 
 @pytest.mark.parametrize("n,h0,expected", [(4, 3, 2), (9, 6, 3), (9, 7, 5), (12, 8, 4)])
@@ -155,8 +155,42 @@ def test_detection_is_stamped_by_the_crossing_proofs_and_never_moves():
         net.now = 10 * tick
         cores[1].ingest_pofs(pofs)
         stamps.append(proc.detected_at)
-    assert len(proc.pofs) == 4 and proc.phase == "idle"
+    assert len(proc.core.pofs) == 4 and proc.phase == "idle"
     assert stamps == [None, None, 30, 30]
+
+
+def test_a_held_proof_against_a_non_member_is_not_taken_again(monkeypatch):
+    # pid 4 is no member of the process: its proof excludes it from the
+    # first committee, and after the main height starts it is held already
+    net, reg, cores = mini_world(4)
+    core = cores[1]
+    proc = AsmrProcess(core, range(1, 4), h0=3, h_prime0=3, max_heights=2)
+    sent = pof_lists_sent(core)
+    pof = fraud_proof(reg, 4)
+    core.ingest_pofs([pof])
+    proc.start()
+    verified = verify_pof_calls(monkeypatch)
+    rechecks = []
+    proc.main_ctx.recheck = lambda: rechecks.append(proc.main_ctx)
+    core.deliver_frame(2, pof_list(reg, 2, [fraud_proof(reg, 4)]))
+    assert len(sent) == 1 and verified == [] and rechecks == []
+    assert core.committee.members == [1, 2, 3]
+
+
+def test_a_proof_learnt_from_the_exclusion_vote_is_not_relayed():
+    net, reg, cores = mini_world(4)
+    core = cores[1]
+    proc = AsmrProcess(core, range(1, 5), h0=3, h_prime0=4, pool=[5])
+    proc.start()
+    proc._start_exclusion(set())
+    pof = fraud_proof(reg, 4)
+    proc.excl_ctx.decided_values = lambda: [encode_pof_list([pof])]
+    proc._on_exclusion_decided(proc.excl_ctx)
+    assert list(core.pofs) == [pof.key()]  # a decoded copy of the proof
+    assert proc.members == [1, 2, 3] and proc.phase == "inclusion"
+    sent = pof_lists_sent(core)
+    core.deliver_frame(2, pof_list(reg, 2, [pof]))
+    assert sent == [] and list(core.pofs) == [pof.key()]
 
 
 def test_spam_run_recovers_by_exclusion():

@@ -620,7 +620,7 @@ def test_reconciliation_streams_one_decoded_block_at_a_time(monkeypatch):
     want = {}
     for pid in world.roles.honest:
         ledger = copy.deepcopy(world.ledgers[pid])
-        for accused in sorted({p.accused for p in world.procs[pid].pofs.values()}):
+        for accused in sorted({p.accused for p in world.procs[pid].core.pofs.values()}):
             ledger.punish_account(accused)
         for blob in blobs:
             ledger.merge_block(decode_block(blob))
